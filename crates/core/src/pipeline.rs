@@ -6,14 +6,25 @@
 //! record source ([`RecordSource`] — in-memory slices via [`SliceRecords`]
 //! or bounded-memory readers via [`ChunkedRecords`]):
 //!
-//! * the caller thread reads records and shards them across a scoped worker
-//!   pool through a **bounded queue** — when workers fall behind, the reader
-//!   blocks instead of buffering the stream, so peak memory is
-//!   `O(workers × queue_depth × record size)` regardless of stream length;
-//! * workers evaluate records concurrently, collecting match spans;
+//! * the caller thread reads records and appends consecutive ones into a
+//!   **record batch**: one contiguous buffer plus each record's span. A
+//!   batch is handed to the worker pool when it reaches a fixed cap (64 KiB
+//!   or 256 records) or just before anything that is not a dispatchable
+//!   record (a limit rejection, a source error or resync, end of stream), so
+//!   batch boundaries depend only on the input, never on timing. Handing
+//!   over whole batches amortizes the per-handoff lock and wakeup over
+//!   hundreds of small records, the way a bulk parser amortizes its fixed
+//!   costs over a buffer of documents;
+//! * handoffs go through a **bounded queue** — when workers fall behind,
+//!   the reader blocks instead of buffering the stream, so peak memory is
+//!   `O(workers × queue_depth × batch size)` regardless of stream length;
+//! * each worker takes a whole batch under one lock, evaluates its records,
+//!   collecting match spans into the batch, and deposits every result under
+//!   one lock;
 //! * the caller merges results back **in record order**, so the sink
 //!   observes exactly the sequence a serial loop would deliver, for any
-//!   worker count.
+//!   worker count. Matches are replayed as borrowed handles into the batch
+//!   buffer; no record is copied after it is read.
 //!
 //! Early exit ([`ControlFlow::Break`] from the sink) and the
 //! [`ErrorPolicy`] are honoured at the merge point: a break stops the
@@ -30,9 +41,11 @@
 //! ([`RecordSource::resync`]): the broken span is skipped, reported to
 //! [`MatchSink::on_resync`] in the same merge-ordered position a serial run
 //! would report it, counted in [`PipelineSummary::resyncs`], and the stream
-//! continues. I/O errors are never recoverable. A [`ResourceLimits`]
-//! attached with [`Pipeline::limits`] rejects oversized records before they
-//! reach a worker, as ordinary per-record failures.
+//! continues. I/O errors are never recoverable; like every other event,
+//! an unrecoverable source error takes effect at the merge point, after
+//! every earlier record was delivered. A [`ResourceLimits`] attached with
+//! [`Pipeline::limits`] rejects oversized records before they reach a
+//! worker, as ordinary per-record failures.
 //!
 //! With `workers <= 1` the pipeline degenerates to a serial loop. Matches
 //! are still staged per record and replayed to the sink only after the
@@ -44,10 +57,10 @@
 //! # Observability
 //!
 //! Attach a shared [`Metrics`] registry with [`Pipeline::metrics`] and the
-//! run records queue occupancy, producer backpressure stalls, worker idle
-//! waits, per-worker records/bytes, skipped-record counts, and — through
-//! [`Evaluate::evaluate_metered`] — the engine's own byte-level and
-//! fast-forward counters.
+//! run records queue occupancy (one sample per batch handoff), producer
+//! backpressure stalls, worker idle waits, per-worker records/bytes,
+//! skipped-record counts, and — through [`Evaluate::evaluate_metered`] —
+//! the engine's own byte-level and fast-forward counters.
 //!
 //! # Crash safety
 //!
@@ -63,11 +76,11 @@
 //!   kills a worker thread.
 //! * **Cooperative cancellation** — attach a
 //!   [`CancellationToken`](crate::CancellationToken) with
-//!   [`Pipeline::cancel_token`] and the producer stops reading at the
-//!   next record boundary, workers finish what was already dispatched,
-//!   the merge flushes every delivered result, and the summary reports
-//!   [`cancelled`](PipelineSummary::cancelled) with the exact committed
-//!   byte offset.
+//!   [`Pipeline::cancel_token`] and the run stops at the merge point: the
+//!   record being delivered when the token trips is finished, nothing after
+//!   it is delivered (records read or evaluated past it are discarded), and
+//!   the summary reports [`cancelled`](PipelineSummary::cancelled) with a
+//!   committed byte offset that covers exactly the delivered records.
 //! * **Checkpoints** — attach a
 //!   [`CheckpointCadence`](crate::CheckpointCadence) with
 //!   [`Pipeline::checkpoints`] and the in-order merge periodically calls
@@ -81,6 +94,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::cancel::CancellationToken;
@@ -91,6 +105,15 @@ use crate::evaluate::{
 use crate::limits::{LimitExceeded, ResourceLimits};
 use crate::metrics::Metrics;
 use crate::records::RecordSplitter;
+
+/// A batch is handed to the workers once its records hold this many bytes...
+const BATCH_BYTES: usize = 64 * 1024;
+/// ...or once it holds this many records, whichever comes first.
+const BATCH_RECORDS: usize = 256;
+
+/// Nothing panics while holding the pipeline lock: sink callbacks and
+/// evaluation run outside it.
+const POISON: &str = "pipeline lock poisoned";
 
 /// A pull-based source of complete JSON records.
 ///
@@ -267,8 +290,11 @@ impl Pipeline {
         self
     }
 
-    /// Sets the per-worker bound on in-flight records (min 1). Total
-    /// buffered records never exceed `workers × queue_depth`.
+    /// Sets the per-worker bound on in-flight record batches (min 1). The
+    /// reader stops while `workers × queue_depth` handoffs are in flight
+    /// (batches, plus the resync and rejection events between them), so
+    /// buffered input stays within that many batches plus the one being
+    /// filled.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
         self
@@ -298,10 +324,13 @@ impl Pipeline {
         self
     }
 
-    /// Attaches a cooperative cancellation token. When it trips, the run
-    /// stops reading at the next record boundary, finishes records already
-    /// dispatched, delivers them in order, and returns `Ok` with
-    /// [`PipelineSummary::cancelled`] set — never an error, never a
+    /// Attaches a cooperative cancellation token. It is honoured at the
+    /// merge point, record by record: the record being delivered when the
+    /// token trips is finished, nothing after it is delivered (records
+    /// already read or evaluated past it are discarded), and the run
+    /// returns `Ok` with [`PipelineSummary::cancelled`] set and a
+    /// [`committed_offset`](PipelineSummary::committed_offset) covering
+    /// exactly the delivered records — never an error, never a
     /// half-delivered record.
     pub fn cancel_token(mut self, token: CancellationToken) -> Self {
         self.cancel = Some(token);
@@ -385,7 +414,7 @@ impl Pipeline {
                         }))
                     } else {
                         staged.clear();
-                        // Unwind safety: see `worker_loop` — engines hold no
+                        // Unwind safety: see `evaluate_batch` — engines hold no
                         // cross-record state, and `staged` is cleared before
                         // the next use so a torn stage is never replayed.
                         catch_unwind(AssertUnwindSafe(|| match metrics {
@@ -492,8 +521,8 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Shared source-error recovery: under [`ErrorPolicy::SkipMalformed`],
-    /// asks a resyncable source to skip past the broken span and reports it
+    /// Serial-path source-error recovery: resynchronizes (see
+    /// [`resync_source`](Self::resync_source)) and reports the skipped span
     /// to the sink.
     fn try_resync(
         &self,
@@ -502,26 +531,27 @@ impl Pipeline {
         error: &EngineError,
         summary: &mut PipelineSummary,
     ) -> Result<Resynced, EngineError> {
-        if !matches!(self.policy, ErrorPolicy::SkipMalformed) || !error.is_resyncable() {
-            return Ok(Resynced::Unrecoverable);
-        }
-        match source.resync()? {
+        match self.resync_source(source, error)? {
             None => Ok(Resynced::Unrecoverable),
-            Some(span) => {
-                summary.resyncs += 1;
-                summary.resync_bytes += span.1 - span.0;
-                summary.committed_offset = summary.committed_offset.max(span.1);
-                if let Some(m) = self.live_metrics() {
-                    m.record_resync(span.1 - span.0);
-                }
-                if sink.on_resync(span, error).is_break() {
-                    summary.stopped = true;
-                    Ok(Resynced::Stopped)
-                } else {
-                    Ok(Resynced::Continue)
-                }
-            }
+            Some(span) => match deliver_resync(self.live_metrics(), summary, sink, span, error) {
+                ControlFlow::Break(()) => Ok(Resynced::Stopped),
+                ControlFlow::Continue(()) => Ok(Resynced::Continue),
+            },
         }
+    }
+
+    /// Shared source-error recovery: under [`ErrorPolicy::SkipMalformed`],
+    /// asks a resyncable source to skip past the broken span. `Ok(None)`
+    /// means the error is unrecoverable (policy, error kind, or source).
+    fn resync_source(
+        &self,
+        source: &mut dyn RecordSource,
+        error: &EngineError,
+    ) -> Result<Option<(u64, u64)>, EngineError> {
+        if !matches!(self.policy, ErrorPolicy::SkipMalformed) || !error.is_resyncable() {
+            return Ok(None);
+        }
+        source.resync()
     }
 
     fn run_parallel(
@@ -530,15 +560,12 @@ impl Pipeline {
         source: &mut dyn RecordSource,
         sink: &mut dyn MatchSink,
     ) -> Result<PipelineSummary, EngineError> {
-        let capacity = self.workers * self.queue_depth;
         let shared = Shared {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 results: BTreeMap::new(),
-                in_flight: 0,
-                producer_done: false,
-                stop: false,
             }),
+            halt: AtomicBool::new(false),
             work_ready: Condvar::new(),
             result_ready: Condvar::new(),
         };
@@ -546,248 +573,186 @@ impl Pipeline {
         std::thread::scope(|scope| {
             for worker in 0..self.workers {
                 let shared = &shared;
-                scope.spawn(move || worker_loop(engine, shared, worker, metrics));
+                let policy = self.policy;
+                scope.spawn(move || worker_loop(engine, shared, worker, policy, metrics));
             }
-            // Guard, not epilogue: the merge loop runs sink callbacks, and
-            // a panicking sink would otherwise skip the release and leave
-            // the scope join deadlocked on workers waiting for work. By
-            // drop time every result the run will ever deliver has been
-            // merged, so `stop` abandons nothing.
+            // Guard, not epilogue: it runs on every return path — including
+            // a panicking sink, which would otherwise leave the scope join
+            // deadlocked on workers waiting for work. By drop time every
+            // result the run will ever deliver has been merged, so halting
+            // abandons nothing.
             let _release = ReleaseWorkers(&shared);
-            self.produce_and_merge(source, sink, &shared, capacity)
+            self.produce_and_merge(source, sink, &shared)
         })
     }
 
-    /// The caller thread's half of the parallel pipeline: reads records
-    /// while queue capacity allows (backpressure), merges worker results in
-    /// record order, applies early exit and the error policy at the merge
-    /// point. Resynchronizations and pre-dispatch limit rejections enter
-    /// the merge sequence as ordinary entries, so the sink observes the
-    /// exact callback order of a serial run for any worker count.
+    /// The caller thread's half of the parallel pipeline: fills record
+    /// batches while the in-flight bound allows (backpressure), merges
+    /// worker results in record order, and applies early exit, the error
+    /// policy and cancellation at the merge point. Resynchronizations,
+    /// pre-dispatch limit rejections and unrecoverable source errors enter
+    /// the merge sequence as events between batches, so the sink observes
+    /// the exact callback order of a serial run for any worker count.
     fn produce_and_merge(
         &self,
         source: &mut dyn RecordSource,
         sink: &mut dyn MatchSink,
         shared: &Shared,
-        capacity: usize,
     ) -> Result<PipelineSummary, EngineError> {
         let metrics = self.live_metrics();
-        let mut summary = PipelineSummary::default();
-        let mut tracker = self.checkpoints.map(CheckpointTracker::new);
-        let mut next_read = 0u64; // next merge ordinal to assign
-        let mut next_merge = 0u64; // next merge ordinal to deliver
-        let mut record_idx = 0u64; // record ordinal (excludes resync events)
+        let capacity = (self.workers * self.queue_depth) as u64;
+        let mut merge = Merge::new(self);
+        let mut handoff = Handoff {
+            shared,
+            metrics,
+            next_seq: 0,
+            filling: Batch::default(),
+            spare: Vec::new(),
+        };
+        let mut next_merge = 0u64; // merge ordinal to deliver next
+        let mut read_idx = 0u64; // record ordinal of the next record read
         let mut source_done = false;
+        let mut ready = Vec::new();
         loop {
-            // Merge every in-order result that is ready, without holding
-            // the lock across sink callbacks.
-            loop {
-                let item = {
-                    let mut state = shared.state.lock().unwrap();
-                    match state.results.remove(&next_merge) {
-                        Some(item) => {
-                            state.in_flight -= 1;
-                            item
-                        }
-                        None => break,
-                    }
-                };
-                shared.work_ready.notify_all();
-                match item {
-                    MergeItem::Resync(span, e) => {
-                        summary.resyncs += 1;
-                        summary.resync_bytes += span.1 - span.0;
-                        summary.committed_offset = summary.committed_offset.max(span.1);
-                        if let Some(m) = metrics {
-                            m.record_resync(span.1 - span.0);
-                        }
-                        if sink.on_resync(span, &e).is_break() {
-                            summary.stopped = true;
-                            self.stop(shared);
-                            self.final_checkpoint(&tracker, sink, &summary)?;
-                            return Ok(summary);
-                        }
-                    }
-                    MergeItem::Record { len, end, result } => {
-                        summary.records += 1;
-                        if let Some(end) = end {
-                            summary.committed_offset = summary.committed_offset.max(end);
-                        }
-                        match result {
-                            Ok((record, spans)) => {
-                                let (delivered, broke) = replay(&record, &spans, record_idx, sink);
-                                summary.matches += delivered;
-                                if let Some(m) = metrics {
-                                    m.record_delivered(delivered as u64, len as u64);
-                                }
-                                if broke {
-                                    summary.stopped = true;
-                                    self.stop(shared);
-                                    self.final_checkpoint(&tracker, sink, &summary)?;
-                                    return Ok(summary);
-                                }
-                            }
-                            Err(mut e) => {
-                                // Workers only know merge ordinals; stamp
-                                // the true record ordinal at the merge,
-                                // where it is known.
-                                if let EngineError::Panic { record_idx: ri, .. } = &mut e {
-                                    *ri = record_idx;
-                                }
-                                match self.policy {
-                                    ErrorPolicy::FailFast => {
-                                        self.stop(shared);
-                                        return Err(e);
-                                    }
-                                    ErrorPolicy::SkipMalformed => {
-                                        summary.failed += 1;
-                                        if let Some(m) = metrics {
-                                            m.record_skipped_record();
-                                        }
-                                        if sink.on_record_error(record_idx, &e).is_break() {
-                                            summary.stopped = true;
-                                            self.stop(shared);
-                                            self.final_checkpoint(&tracker, sink, &summary)?;
-                                            return Ok(summary);
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        record_idx += 1;
-                        if let Some(t) = tracker.as_mut() {
-                            if t.due(len as u64) {
-                                if let Err(e) = self.emit_checkpoint(sink, &summary) {
-                                    self.stop(shared);
-                                    return Err(e);
-                                }
-                            }
-                        }
-                    }
+            // Take the whole run of consecutive ready results under one
+            // lock, then deliver it without holding the lock across sink
+            // callbacks.
+            {
+                let mut state = shared.state.lock().expect(POISON);
+                while let Some(item) = state.results.remove(&next_merge) {
+                    ready.push(item);
+                    next_merge += 1;
                 }
-                next_merge += 1;
             }
-            // Refill the queue up to the in-flight bound (backpressure).
+            for item in ready.drain(..) {
+                let flow = match item {
+                    MergeItem::Batch(mut batch) => {
+                        let flow = merge.batch(sink, &mut batch);
+                        batch.clear();
+                        handoff.spare.push(batch);
+                        flow?
+                    }
+                    _ if merge.cancelled() => ControlFlow::Break(()),
+                    MergeItem::Rejected { len, end, error } => {
+                        merge.record(sink, len, end, Err(error))?
+                    }
+                    MergeItem::Resync(span, e) => {
+                        deliver_resync(metrics, &mut merge.summary, sink, span, &e)
+                    }
+                    MergeItem::Fatal(e) => return Err(e),
+                };
+                if flow.is_break() {
+                    return merge.finish(sink);
+                }
+            }
+            // Fill batches up to the in-flight bound (backpressure). A
+            // partly filled batch waits here for the next round: it is only
+            // handed off when full or before an event, never for timing.
             while !source_done {
-                if self.is_cancelled() {
-                    // Stop producing; everything already dispatched still
-                    // drains through the merge above before we return.
-                    summary.cancelled = true;
-                    source_done = true;
+                if merge.cancelled() {
+                    // Nothing after this point would be delivered anyway.
+                    return merge.finish(sink);
+                }
+                if handoff.next_seq - next_merge >= capacity {
+                    if let Some(m) = metrics {
+                        m.record_producer_stall();
+                    }
                     break;
                 }
-                {
-                    let state = shared.state.lock().unwrap();
-                    if state.in_flight >= capacity {
-                        if let Some(m) = metrics {
-                            m.record_producer_stall();
-                        }
-                        break;
-                    }
-                }
                 // The record borrow must die before `consumed_offset`, so
-                // classify the read first and dispatch after.
+                // classify the read first and account for it after.
                 let got = match source.next_record() {
                     Ok(None) => Fetched::End,
                     Err(e) => Fetched::Fail(e),
+                    Ok(Some(record)) if record.len() > self.limits.max_record_bytes => {
+                        Fetched::Oversized(record.len())
+                    }
                     Ok(Some(record)) => {
-                        if record.len() > self.limits.max_record_bytes {
-                            Fetched::Oversized(record.len())
-                        } else {
-                            Fetched::Dispatch(record.to_vec())
-                        }
+                        handoff.filling.bytes.extend_from_slice(record);
+                        Fetched::Appended
                     }
                 };
                 let end = source.consumed_offset();
                 match got {
+                    Fetched::Appended => {
+                        handoff.filling.push(read_idx, end);
+                        read_idx += 1;
+                        if handoff.filling.is_full() {
+                            handoff.flush(next_merge);
+                        }
+                    }
                     Fetched::End => {
+                        handoff.flush(next_merge);
                         source_done = true;
                     }
                     Fetched::Oversized(len) => {
-                        // Rejected before dispatch: deposit a pre-failed
-                        // result directly into the merge sequence,
-                        // skipping the workers entirely.
+                        // Rejected before dispatch: a pre-failed entry in
+                        // the merge sequence, skipping the workers entirely.
                         if let Some(m) = metrics {
                             m.record_limit_rejection();
                         }
-                        let e = EngineError::Limit(LimitExceeded::RecordBytes {
+                        let error = EngineError::Limit(LimitExceeded::RecordBytes {
                             len,
                             limit: self.limits.max_record_bytes,
                         });
-                        let mut state = shared.state.lock().unwrap();
-                        state.results.insert(
-                            next_read,
-                            MergeItem::Record {
-                                len,
-                                end,
-                                result: Err(e),
-                            },
-                        );
-                        state.in_flight += 1;
-                        next_read += 1;
-                    }
-                    Fetched::Dispatch(owned) => {
-                        let mut state = shared.state.lock().unwrap();
-                        state.queue.push_back((next_read, end, owned));
-                        state.in_flight += 1;
-                        if let Some(m) = metrics {
-                            m.record_queue_occupancy(state.in_flight as u64);
-                        }
-                        next_read += 1;
-                        drop(state);
-                        shared.work_ready.notify_one();
+                        handoff.flush(next_merge);
+                        handoff.event(MergeItem::Rejected { len, end, error });
+                        read_idx += 1;
                     }
                     Fetched::Fail(e) => {
-                        if matches!(self.policy, ErrorPolicy::SkipMalformed) && e.is_resyncable() {
-                            match source.resync() {
-                                Ok(Some(span)) => {
-                                    // Enters the merge sequence so the sink
-                                    // sees it after all earlier records.
-                                    let mut state = shared.state.lock().unwrap();
-                                    state.results.insert(next_read, MergeItem::Resync(span, e));
-                                    state.in_flight += 1;
-                                    next_read += 1;
-                                    continue;
-                                }
-                                Ok(None) => {
-                                    self.stop(shared);
-                                    return Err(e);
-                                }
-                                Err(resync_err) => {
-                                    self.stop(shared);
-                                    return Err(resync_err);
-                                }
+                        handoff.flush(next_merge);
+                        match self.resync_source(source, &e) {
+                            Ok(Some(span)) => handoff.event(MergeItem::Resync(span, e)),
+                            Ok(None) => {
+                                handoff.event(MergeItem::Fatal(e));
+                                source_done = true;
+                            }
+                            Err(resync_err) => {
+                                handoff.event(MergeItem::Fatal(resync_err));
+                                source_done = true;
                             }
                         }
-                        self.stop(shared);
-                        return Err(e);
                     }
                 }
             }
-            // Done when everything read has been merged.
-            if source_done && next_merge == next_read {
-                self.final_checkpoint(&tracker, sink, &summary)?;
-                return Ok(summary);
+            // Done when everything handed off has been merged.
+            if source_done && next_merge == handoff.next_seq {
+                return merge.finish(sink);
             }
             // Otherwise wait until the next in-order result lands.
-            let mut state = shared.state.lock().unwrap();
+            let mut state = shared.state.lock().expect(POISON);
             while !state.results.contains_key(&next_merge) {
-                state = shared.result_ready.wait(state).unwrap();
+                state = shared.result_ready.wait(state).expect(POISON);
             }
         }
     }
+}
 
-    fn stop(&self, shared: &Shared) {
-        let mut state = shared.state.lock().unwrap();
-        state.stop = true;
-        drop(state);
-        shared.work_ready.notify_all();
+/// Accounts one source resynchronization and reports it to the sink;
+/// `Break` when the sink stopped the run.
+fn deliver_resync(
+    metrics: Option<&Metrics>,
+    summary: &mut PipelineSummary,
+    sink: &mut dyn MatchSink,
+    span: (u64, u64),
+    error: &EngineError,
+) -> ControlFlow<()> {
+    summary.resyncs += 1;
+    summary.resync_bytes += span.1 - span.0;
+    summary.committed_offset = summary.committed_offset.max(span.1);
+    if let Some(m) = metrics {
+        m.record_resync(span.1 - span.0);
     }
+    if sink.on_resync(span, error).is_break() {
+        summary.stopped = true;
+        return ControlFlow::Break(());
+    }
+    ControlFlow::Continue(())
 }
 
 /// Replays staged match spans to the real sink as borrowed [`Match`]
-/// handles over the staged record copy; returns how many were delivered
-/// (including the one the sink broke on) and whether the sink broke.
+/// handles over the record; returns how many were delivered (including the
+/// one the sink broke on) and whether the sink broke.
 fn replay(
     record: &[u8],
     spans: &[(usize, usize)],
@@ -803,6 +768,130 @@ fn replay(
         }
     }
     (spans.len(), false)
+}
+
+/// A record's bytes and its (record-relative) match spans, ready to replay.
+type Staged<'a> = (&'a [u8], &'a [(usize, usize)]);
+
+/// The parallel path's in-order merge point: applies each record's outcome
+/// to the summary, the sink, the metrics and the checkpoint cadence, in
+/// record order — the same accounting the serial loop does inline. (Kept
+/// out of the serial loop: routing `workers(1)` through it measured a few
+/// percent slower per record.)
+struct Merge<'p> {
+    pipeline: &'p Pipeline,
+    summary: PipelineSummary,
+    tracker: Option<CheckpointTracker>,
+    /// Ordinal of the next record to deliver (resyncs are not records).
+    record_idx: u64,
+}
+
+impl<'p> Merge<'p> {
+    fn new(pipeline: &'p Pipeline) -> Self {
+        Merge {
+            pipeline,
+            summary: PipelineSummary::default(),
+            tracker: pipeline.checkpoints.map(CheckpointTracker::new),
+            record_idx: 0,
+        }
+    }
+
+    /// Whether the run must stop for cancellation (flagging the summary).
+    fn cancelled(&mut self) -> bool {
+        if self.pipeline.is_cancelled() {
+            self.summary.cancelled = true;
+        }
+        self.summary.cancelled
+    }
+
+    /// Delivers one record: its bytes and match spans, or its failure.
+    /// `Break` when the sink stopped the run.
+    fn record(
+        &mut self,
+        sink: &mut dyn MatchSink,
+        len: usize,
+        end: Option<u64>,
+        result: Result<Staged<'_>, EngineError>,
+    ) -> Result<ControlFlow<()>, EngineError> {
+        let metrics = self.pipeline.live_metrics();
+        let summary = &mut self.summary;
+        summary.records += 1;
+        if let Some(end) = end {
+            summary.committed_offset = summary.committed_offset.max(end);
+        }
+        match result {
+            Ok((record, spans)) => {
+                let (delivered, broke) = replay(record, spans, self.record_idx, sink);
+                summary.matches += delivered;
+                if let Some(m) = metrics {
+                    m.record_delivered(delivered as u64, len as u64);
+                }
+                if broke {
+                    summary.stopped = true;
+                    return Ok(ControlFlow::Break(()));
+                }
+            }
+            Err(e) => match self.pipeline.policy {
+                ErrorPolicy::FailFast => return Err(e),
+                ErrorPolicy::SkipMalformed => {
+                    summary.failed += 1;
+                    if let Some(m) = metrics {
+                        m.record_skipped_record();
+                    }
+                    if sink.on_record_error(self.record_idx, &e).is_break() {
+                        summary.stopped = true;
+                        return Ok(ControlFlow::Break(()));
+                    }
+                }
+            },
+        }
+        self.record_idx += 1;
+        if let Some(t) = self.tracker.as_mut() {
+            if t.due(len as u64) {
+                self.pipeline.emit_checkpoint(sink, &self.summary)?;
+            }
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Delivers every record of an evaluated batch in order, checking for
+    /// cancellation before each one.
+    fn batch(
+        &mut self,
+        sink: &mut dyn MatchSink,
+        batch: &mut Batch,
+    ) -> Result<ControlFlow<()>, EngineError> {
+        let (mut start, mut spans_from) = (0, 0);
+        // A FailFast worker stops at its batch's first failure, which
+        // aborts the run here before the missing outcomes are reached.
+        for (rec, outcome) in batch.records.iter().zip(batch.outcomes.drain(..)) {
+            if self.cancelled() {
+                return Ok(ControlFlow::Break(()));
+            }
+            let record = &batch.bytes[start..rec.end];
+            start = rec.end;
+            let result = outcome.map(|spans_to| {
+                let spans = &batch.spans[spans_from..spans_to];
+                spans_from = spans_to;
+                (record, spans)
+            });
+            if self
+                .record(sink, record.len(), rec.offset, result)?
+                .is_break()
+            {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
+        Ok(ControlFlow::Continue(()))
+    }
+
+    /// Ends a clean run (complete, stopped, or cancelled) with its closing
+    /// checkpoint.
+    fn finish(self, sink: &mut dyn MatchSink) -> Result<PipelineSummary, EngineError> {
+        self.pipeline
+            .final_checkpoint(&self.tracker, sink, &self.summary)?;
+        Ok(self.summary)
+    }
 }
 
 /// Outcome of a serial-path [`Pipeline::try_resync`] attempt.
@@ -824,13 +913,14 @@ enum Step {
 }
 
 /// One read of the parallel producer, classified while the record borrow
-/// is live; dispatching happens after, so the producer can also ask the
-/// source for its consumed offset.
+/// is live (a dispatchable record is already appended to the batch being
+/// filled); the rest happens after, so the producer can also ask the source
+/// for its consumed offset.
 enum Fetched {
     End,
     Fail(EngineError),
     Oversized(usize),
-    Dispatch(Vec<u8>),
+    Appended,
 }
 
 /// Counts merged records/bytes against a [`CheckpointCadence`].
@@ -864,55 +954,146 @@ impl CheckpointTracker {
     }
 }
 
-/// A worker's output for one record: the record's bytes (moved back out of
-/// the worker) plus the match spans collected into them.
-type StagedMatches = (Vec<u8>, Vec<(usize, usize)>);
+/// Consecutive dispatchable records, handed to one worker in one handoff
+/// and merged back as one unit.
+#[derive(Default)]
+struct Batch {
+    /// Position of the batch in the merge sequence.
+    seq: u64,
+    /// Record ordinal of the first record.
+    first_idx: u64,
+    /// Every record's bytes, back to back.
+    bytes: Vec<u8>,
+    /// One entry per record, in order.
+    records: Vec<BatchRecord>,
+    /// Match spans (record-relative) of every cleanly evaluated record,
+    /// back to back; filled by the worker.
+    spans: Vec<(usize, usize)>,
+    /// One outcome per evaluated record, filled by the worker: the failure,
+    /// or where the record's spans end in `spans` (they start where the
+    /// previous clean record's end).
+    outcomes: Vec<Result<usize, EngineError>>,
+}
+
+struct BatchRecord {
+    /// End of the record's bytes in [`Batch::bytes`]; it starts where the
+    /// previous record ends.
+    end: usize,
+    /// Global offset just past the record in the input stream, when the
+    /// source reports offsets.
+    offset: Option<u64>,
+}
+
+impl Batch {
+    /// Accounts the record just appended to `bytes`.
+    fn push(&mut self, record_idx: u64, offset: Option<u64>) {
+        if self.records.is_empty() {
+            self.first_idx = record_idx;
+        }
+        self.records.push(BatchRecord {
+            end: self.bytes.len(),
+            offset,
+        });
+    }
+
+    fn is_full(&self) -> bool {
+        self.bytes.len() >= BATCH_BYTES || self.records.len() >= BATCH_RECORDS
+    }
+
+    /// Empties the batch for reuse, keeping its allocations.
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.records.clear();
+        self.spans.clear();
+        self.outcomes.clear();
+    }
+}
+
+/// The producer's side of the handoff: the batch being filled, recycled
+/// batch allocations, and the merge ordinal of the next handoff.
+struct Handoff<'s> {
+    shared: &'s Shared,
+    metrics: Option<&'s Metrics>,
+    next_seq: u64,
+    filling: Batch,
+    spare: Vec<Batch>,
+}
+
+impl Handoff<'_> {
+    /// Hands the batch being filled (if it holds any record) to the
+    /// workers: one lock, one wakeup.
+    fn flush(&mut self, next_merge: u64) {
+        if self.filling.records.is_empty() {
+            return;
+        }
+        let fresh = self.spare.pop().unwrap_or_default();
+        let mut batch = std::mem::replace(&mut self.filling, fresh);
+        batch.seq = self.next_seq;
+        self.next_seq += 1;
+        self.shared
+            .state
+            .lock()
+            .expect(POISON)
+            .queue
+            .push_back(batch);
+        self.shared.work_ready.notify_one();
+        if let Some(m) = self.metrics {
+            m.record_queue_occupancy(self.next_seq - next_merge);
+        }
+    }
+
+    /// Enters a non-record event directly into the merge sequence.
+    fn event(&mut self, item: MergeItem) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.shared
+            .state
+            .lock()
+            .expect(POISON)
+            .results
+            .insert(seq, item);
+    }
+}
 
 /// One entry in the in-order merge sequence.
 enum MergeItem {
-    /// A dispatched (or pre-rejected) record.
-    Record {
-        /// The record's byte length.
+    /// An evaluated batch of records.
+    Batch(Batch),
+    /// A record rejected before dispatch by a resource limit.
+    Rejected {
         len: usize,
-        /// Global offset just past the record in the input stream, when
-        /// the source reports offsets.
         end: Option<u64>,
-        /// The record's bytes plus the collected match spans into them,
-        /// or the failure. The worker moves its already-owned record out
-        /// so replay can hand the sink borrowed [`Match`] handles.
-        result: Result<StagedMatches, EngineError>,
+        error: EngineError,
     },
     /// A source resynchronization: the skipped global span and the error
     /// that caused it.
     Resync((u64, u64), EngineError),
+    /// A source error that ends the run once everything before it has been
+    /// delivered.
+    Fatal(EngineError),
 }
 
 struct State {
-    /// FIFO of records awaiting a worker: merge ordinal, end offset,
-    /// record bytes.
-    queue: VecDeque<(u64, Option<u64>, Vec<u8>)>,
-    /// Completed records awaiting in-order merging.
+    /// FIFO of batches awaiting a worker.
+    queue: VecDeque<Batch>,
+    /// Evaluated batches and events awaiting in-order merging, by merge
+    /// ordinal.
     results: BTreeMap<u64, MergeItem>,
-    /// Records read from the source but not yet merged (queued, executing,
-    /// or completed) — bounded by `workers × queue_depth`.
-    in_flight: usize,
-    producer_done: bool,
-    stop: bool,
 }
 
-/// Drop guard that releases all workers: set the end flags and wake
-/// everyone, tolerating a poisoned lock (the flags it writes are sound to
-/// set whatever state the panic interrupted).
+/// Drop guard that releases all workers: raise `halt` and wake everyone,
+/// tolerating a poisoned lock (the flag is sound to set whatever state the
+/// panic interrupted).
 struct ReleaseWorkers<'a>(&'a Shared);
 
 impl Drop for ReleaseWorkers<'_> {
     fn drop(&mut self) {
-        let mut state = match self.0.state.lock() {
+        // Raised under the lock, so a worker about to wait cannot miss it.
+        let state = match self.0.state.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        state.producer_done = true;
-        state.stop = true;
+        self.0.halt.store(true, Ordering::Relaxed);
         drop(state);
         self.0.work_ready.notify_all();
     }
@@ -920,16 +1101,18 @@ impl Drop for ReleaseWorkers<'_> {
 
 struct Shared {
     state: Mutex<State>,
-    /// Signalled when work arrives, capacity frees up, or the run ends.
+    /// Set once the merge is over: workers stop, even mid-batch.
+    halt: AtomicBool,
+    /// Signalled when a batch arrives or the run ends.
     work_ready: Condvar,
-    /// Signalled when a worker deposits a result.
+    /// Signalled when a worker deposits an evaluated batch.
     result_ready: Condvar,
 }
 
-/// Stages matches as spans plus (at most) one copy of the record they
-/// borrow from; never stops the engine (early exit is decided at replay
-/// time, where record order is known). The record is copied lazily on the
-/// first match, so records without matches stage nothing.
+/// Serial-path stage: match spans plus (at most) one copy of the record
+/// they borrow from; never stops the engine (early exit is decided at
+/// replay time). The record is copied lazily on the first match, so
+/// records without matches stage nothing.
 struct Collector {
     record: Vec<u8>,
     spans: Vec<(usize, usize)>,
@@ -960,61 +1143,119 @@ impl MatchSink for Collector {
     }
 }
 
-fn worker_loop(engine: &dyn Evaluate, shared: &Shared, worker: usize, metrics: Option<&Metrics>) {
-    let mut state = shared.state.lock().unwrap();
+/// Worker-side stage: match spans only, appended to the batch's span list
+/// (the record bytes already live in the batch).
+struct SpanSink<'a>(&'a mut Vec<(usize, usize)>);
+
+impl MatchSink for SpanSink<'_> {
+    fn on_match(&mut self, m: Match<'_>) -> ControlFlow<()> {
+        self.0.push(m.span());
+        ControlFlow::Continue(())
+    }
+}
+
+fn worker_loop(
+    engine: &dyn Evaluate,
+    shared: &Shared,
+    worker: usize,
+    policy: ErrorPolicy,
+    metrics: Option<&Metrics>,
+) {
     loop {
-        if state.stop {
+        let mut batch = {
+            let mut state = shared.state.lock().expect(POISON);
+            loop {
+                if shared.halt.load(Ordering::Relaxed) {
+                    return;
+                }
+                if let Some(batch) = state.queue.pop_front() {
+                    break batch;
+                }
+                if let Some(m) = metrics {
+                    m.record_worker_wait();
+                }
+                state = shared.work_ready.wait(state).expect(POISON);
+            }
+        };
+        if !evaluate_batch(engine, &mut batch, worker, policy, metrics, &shared.halt) {
             return;
         }
-        if let Some((idx, end, record)) = state.queue.pop_front() {
-            drop(state);
-            // Unwind safety: the engine is `&dyn Evaluate` with no
-            // cross-record mutable state (evaluation state is rebuilt per
-            // record), the collector is local to this closure and
-            // discarded on unwind, and metrics counters are monotone
-            // saturating adds — a torn update is at worst an off-by-one
-            // count, never a broken invariant.
-            let len = record.len();
-            let unwind = catch_unwind(AssertUnwindSafe(|| {
-                let mut collector = Collector::new();
-                let outcome = match metrics {
-                    Some(m) => {
-                        m.record_worker(worker, record.len() as u64);
-                        engine.evaluate_metered(&record, idx, &mut collector, m)
-                    }
-                    None => engine.evaluate(&record, idx, &mut collector),
-                };
-                (outcome, record, collector.spans)
-            }));
-            let result = match unwind {
-                Ok((RecordOutcome::Failed(e), _, _)) => Err(e),
-                Ok((_, record, spans)) => Ok((record, spans)),
-                Err(p) => {
-                    if let Some(m) = metrics {
-                        m.record_worker_panic();
-                    }
-                    // `idx` is a merge ordinal; the merge loop stamps the
-                    // true record ordinal before the sink sees it.
-                    Err(EngineError::Panic {
-                        record_idx: idx,
-                        payload: panic_payload(p.as_ref()),
-                    })
-                }
-            };
-            state = shared.state.lock().unwrap();
-            state
-                .results
-                .insert(idx, MergeItem::Record { len, end, result });
-            shared.result_ready.notify_all();
-        } else if state.producer_done {
-            return;
-        } else {
-            if let Some(m) = metrics {
-                m.record_worker_wait();
+        let seq = batch.seq;
+        shared
+            .state
+            .lock()
+            .unwrap()
+            .results
+            .insert(seq, MergeItem::Batch(batch));
+        shared.result_ready.notify_one();
+    }
+}
+
+/// Evaluates every record of `batch`, each inside its own `catch_unwind`,
+/// filling its spans and outcomes. Under [`ErrorPolicy::FailFast`] it stops
+/// at the first failure (the merge aborts there). `false` when the run
+/// halted mid-batch and the batch must be dropped.
+fn evaluate_batch(
+    engine: &dyn Evaluate,
+    batch: &mut Batch,
+    worker: usize,
+    policy: ErrorPolicy,
+    metrics: Option<&Metrics>,
+    halt: &AtomicBool,
+) -> bool {
+    let Batch {
+        first_idx,
+        bytes,
+        records,
+        spans,
+        outcomes,
+        ..
+    } = batch;
+    let mut start = 0;
+    for (i, rec) in records.iter().enumerate() {
+        if halt.load(Ordering::Relaxed) {
+            return false;
+        }
+        let record = &bytes[start..rec.end];
+        start = rec.end;
+        let idx = *first_idx + i as u64;
+        let mark = spans.len();
+        // Unwind safety: the engine is `&dyn Evaluate` with no
+        // cross-record mutable state (evaluation state is rebuilt per
+        // record), spans pushed by a torn evaluation are truncated away
+        // below, and metrics counters are monotone saturating adds — a torn
+        // update is at worst an off-by-one count, never a broken invariant.
+        let mut stage = SpanSink(spans);
+        let unwind = catch_unwind(AssertUnwindSafe(|| match metrics {
+            Some(m) => {
+                m.record_worker(worker, record.len() as u64);
+                engine.evaluate_metered(record, idx, &mut stage, m)
             }
-            state = shared.work_ready.wait(state).unwrap();
+            None => engine.evaluate(record, idx, &mut stage),
+        }));
+        let error = match unwind {
+            Ok(RecordOutcome::Failed(e)) => e,
+            Ok(_) => {
+                outcomes.push(Ok(spans.len()));
+                continue;
+            }
+            Err(p) => {
+                if let Some(m) = metrics {
+                    m.record_worker_panic();
+                }
+                EngineError::Panic {
+                    record_idx: idx,
+                    payload: panic_payload(p.as_ref()),
+                }
+            }
+        };
+        spans.truncate(mark);
+        outcomes.push(Err(error));
+        if matches!(policy, ErrorPolicy::FailFast) {
+            break;
         }
     }
+    true
 }
 
 #[cfg(test)]
@@ -1701,6 +1942,60 @@ mod tests {
                 stream.len() as u64 - 1, // the trailing newline is never consumed
                 "workers={workers}"
             );
+        }
+    }
+
+    #[test]
+    fn handoffs_are_per_batch_not_per_record() {
+        // `queue_occupancy` takes one sample per handoff. Batch boundaries
+        // depend only on the input, so the count is exact: tiny records
+        // fill batches by record count, large ones by bytes.
+        fn handoffs(stream: &[u8], records: usize) -> u64 {
+            let engine = JsonSki::compile("$.a").unwrap();
+            let collect = |workers: usize, metrics: Arc<Metrics>| {
+                let mut got: Vec<(u64, Vec<u8>)> = Vec::new();
+                let mut sink = FnSink::new(|m: Match<'_>| {
+                    got.push((m.record_idx(), m.bytes().to_vec()));
+                    ControlFlow::Continue(())
+                });
+                let summary = Pipeline::new()
+                    .workers(workers)
+                    .metrics(metrics)
+                    .run(&engine, &mut SliceRecords::new(stream), &mut sink)
+                    .unwrap();
+                assert_eq!(summary.records, records as u64);
+                got
+            };
+            let metrics = Arc::new(Metrics::new());
+            let parallel = collect(2, Arc::clone(&metrics));
+            assert_eq!(parallel, collect(1, Arc::new(Metrics::new())));
+            assert_eq!(parallel.len(), records);
+            metrics.snapshot().queue_occupancy.count()
+        }
+        let tiny = handoffs(&stream_of(10_000), 10_000);
+        assert_eq!(tiny, 10_000u64.div_ceil(BATCH_RECORDS as u64));
+        assert!(tiny <= 10_000 / 32, "{tiny} handoffs");
+        // 40 KiB records: the second one crosses BATCH_BYTES, so batches
+        // hold two records each.
+        let big = format!("{{\"pad\": \"{}\", \"a\": 1}}\n", "x".repeat(40 * 1024));
+        assert_eq!(handoffs(big.repeat(5).as_bytes(), 5), 3);
+    }
+
+    #[test]
+    fn fail_fast_source_error_delivers_every_earlier_record_first() {
+        // An unrecoverable source error is an event in the merge sequence:
+        // every record before it is delivered, exactly as a serial run does.
+        let mut stream = stream_of(700);
+        stream.extend_from_slice(b"{\"a\": [1, 2\n");
+        let engine = JsonSki::compile("$.a").unwrap();
+        for workers in [1, 2, 8] {
+            let mut sink = CountSink::default();
+            let err = Pipeline::new()
+                .workers(workers)
+                .run(&engine, &mut SliceRecords::new(&stream), &mut sink)
+                .unwrap_err();
+            assert!(matches!(err, EngineError::Stream(_)), "workers={workers}");
+            assert_eq!(sink.matches, 700, "workers={workers}");
         }
     }
 

@@ -32,7 +32,10 @@ use std::io::{ErrorKind, Read};
 use std::sync::Arc;
 use std::time::Duration;
 
+use simdbits::{BlockBitmaps, Classifier, BLOCK};
+
 use crate::cancel::CancellationToken;
+use crate::cursor::find_depth_zero;
 use crate::error::StreamError;
 use crate::limits::{LimitExceeded, ResourceLimits};
 use crate::metrics::Metrics;
@@ -137,6 +140,34 @@ impl From<LimitExceeded> for ReadRecordError {
     }
 }
 
+/// Boundary scan of a container or string record that was still open at
+/// the end of the buffered data, carried across refills so each byte of a
+/// long record is classified once, not once per refill.
+#[derive(Debug)]
+struct OpenScan {
+    /// Global offset of the record's first byte.
+    start: u64,
+    /// Record bytes classified so far (whole blocks).
+    scanned: usize,
+    /// Unclosed containers (or the open string) after `scanned` bytes.
+    depth: u32,
+    /// String and escape state after `scanned` bytes.
+    cls: Classifier,
+}
+
+impl OpenScan {
+    /// The openers and closers that pair up for a record starting with
+    /// `kind`: its own bracket type (as the splitter counts them), or, for
+    /// a string, only the closing quote.
+    fn pairs(kind: u8, bm: &BlockBitmaps) -> (u64, u64) {
+        match kind {
+            b'{' => (bm.lbrace, bm.rbrace),
+            b'[' => (bm.lbracket, bm.rbracket),
+            _ => (0, bm.quote),
+        }
+    }
+}
+
 /// Pulls complete JSON records out of a reader with bounded memory.
 ///
 /// # Example
@@ -174,6 +205,11 @@ pub struct ChunkedRecords<R> {
     /// Buffer-coordinate span of a complete record that was rejected by a
     /// limit; [`resync`](Self::resync) skips exactly these bytes.
     pending_skip: Option<(usize, usize)>,
+    /// The carried scan of the current record, once a split attempt found
+    /// it still open; cleared whenever `consumed` moves.
+    open: Option<OpenScan>,
+    /// Bytes examined by record-boundary scans so far.
+    scanned_bytes: u64,
 }
 
 impl<R: Read> ChunkedRecords<R> {
@@ -199,6 +235,8 @@ impl<R: Read> ChunkedRecords<R> {
             metrics: None,
             cancel: None,
             pending_skip: None,
+            open: None,
+            scanned_bytes: 0,
         }
     }
 
@@ -285,6 +323,7 @@ impl<R: Read> ChunkedRecords<R> {
                     .into());
                 }
                 self.consumed = e;
+                self.open = None;
                 return Ok(Some(&self.buf[s..e]));
             }
             if self.eof {
@@ -323,6 +362,7 @@ impl<R: Read> ChunkedRecords<R> {
     /// Only I/O errors: resynchronization itself cannot hit record-level
     /// errors.
     pub fn resync(&mut self) -> Result<Option<(u64, u64)>, ReadRecordError> {
+        self.open = None;
         if let Some((s, e)) = self.pending_skip.take() {
             let span = (self.base + s as u64, self.base + e as u64);
             self.consumed = e;
@@ -367,11 +407,26 @@ impl<R: Read> ChunkedRecords<R> {
     /// Attempts to split one record out of `buf[consumed..filled]`.
     /// `Ok(None)` means "need more data" (or clean end at EOF).
     fn try_parse_one(&mut self) -> Result<Option<(usize, usize)>, ReadRecordError> {
+        // A record found open by an earlier attempt continues its carried
+        // scan over the new bytes only. At EOF the splitter below gives the
+        // exact diagnosis of the unterminated record instead.
+        if let Some(open) = &self.open {
+            if !self.eof {
+                let s = (open.start - self.base) as usize;
+                return Ok(self.scan_open(s).map(|e| (s, e)));
+            }
+        }
         // The splitter runs on the unconsumed tail; spans are offset back
         // into buffer coordinates.
         let tail = &self.buf[self.consumed..self.filled];
         let mut tail_splitter = RecordSplitter::new(tail);
-        match tail_splitter.next() {
+        let attempt = tail_splitter.next();
+        let examined = match &attempt {
+            Some(Ok((_, e))) => *e,
+            _ => tail.len(),
+        };
+        self.scanned_bytes += examined as u64;
+        match attempt {
             None => Ok(None), // only whitespace (or empty)
             Some(Ok((s, e))) => {
                 // A record that touches the end of the buffered data might
@@ -391,10 +446,62 @@ impl<R: Read> ChunkedRecords<R> {
                     }
                     Err(err.into())
                 } else {
-                    Ok(None) // record continues past the buffered bytes
+                    // The record continues past the buffered bytes: carry
+                    // its scan from here on. (Only containers and strings
+                    // can be open; a scalar ends at whitespace or EOF.)
+                    let s = tail
+                        .iter()
+                        .position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+                        .expect("an open record has a first byte");
+                    self.open = Some(OpenScan {
+                        start: self.base + (self.consumed + s) as u64,
+                        scanned: 0,
+                        depth: 1,
+                        cls: Classifier::new(),
+                    });
+                    Ok(None)
                 }
             }
         }
+    }
+
+    /// Advances the carried scan of the open record starting at buffer
+    /// offset `s` over the bytes buffered since the last attempt; returns
+    /// the record's end once it is buffered. The pairing is the splitter's
+    /// own (`find_depth_zero` over in-string-masked bitmaps), so the end
+    /// found is the one a fresh split of the tail would find.
+    fn scan_open(&mut self, s: usize) -> Option<usize> {
+        let scan = self.open.as_mut().expect("an open record is being scanned");
+        let data = &self.buf[s..self.filled];
+        let kind = data[0];
+        // The first byte opens the record (depth 1); only what follows
+        // can close it.
+        let first = |scanned: usize| if scanned == 0 { !1u64 } else { u64::MAX };
+        while scan.scanned + BLOCK <= data.len() {
+            let block = data[scan.scanned..scan.scanned + BLOCK]
+                .try_into()
+                .expect("a whole block");
+            let (opens, closes) = OpenScan::pairs(kind, &scan.cls.classify(block));
+            let keep = first(scan.scanned);
+            let (opens, closes) = (opens & keep, closes & keep);
+            self.scanned_bytes += BLOCK as u64;
+            if let Some(bit) = find_depth_zero(opens, closes, scan.depth) {
+                return Some(s + scan.scanned + bit as usize + 1);
+            }
+            scan.depth = scan.depth + opens.count_ones() - closes.count_ones();
+            scan.scanned += BLOCK;
+        }
+        // The partial last block is classified on a copy of the carried
+        // state: it is classified for real once it is whole.
+        let rest = &data[scan.scanned..];
+        if rest.is_empty() {
+            return None;
+        }
+        self.scanned_bytes += rest.len() as u64;
+        let (opens, closes) = OpenScan::pairs(kind, &scan.cls.clone().classify_tail(rest));
+        let keep = first(scan.scanned);
+        find_depth_zero(opens & keep, closes & keep, scan.depth)
+            .map(|bit| s + scan.scanned + bit as usize + 1)
     }
 
     /// Reads more bytes, first compacting consumed data to the front.
@@ -681,6 +788,68 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 2);
+    }
+
+    #[test]
+    fn multi_mib_record_is_scanned_in_linear_time() {
+        // Re-splitting the whole open tail after every 64 KiB refill made a
+        // 4 MiB record cost ~64 scans of itself; the carried scan visits
+        // each byte a bounded number of times.
+        let mut big = b"{\"k\": [".to_vec();
+        let mut i = 0u64;
+        while big.len() < 4 << 20 {
+            big.extend_from_slice(format!("{{\"s\": \"x}}]\\\"{i}\", \"n\": [{i}]}}, ").as_bytes());
+            i += 1;
+        }
+        big.extend_from_slice(b"0]}");
+        let input = [&big[..], b"\n{\"a\": 1}\n"].concat();
+        let mut r = ChunkedRecords::with_buffer_size(&input[..], DEFAULT_BUFFER);
+        assert_eq!(r.next_record().unwrap().unwrap(), &big[..]);
+        assert!(
+            r.scanned_bytes <= 3 * big.len() as u64,
+            "scanned {} bytes for a {}-byte record",
+            r.scanned_bytes,
+            big.len()
+        );
+        assert_eq!(r.next_record().unwrap().unwrap(), b"{\"a\": 1}");
+        assert!(r.next_record().unwrap().is_none());
+    }
+
+    #[test]
+    fn carried_scan_agrees_with_the_splitter_on_long_records() {
+        // Long container and string records whose strings hide brackets,
+        // escaped quotes and backslash runs at every block and refill
+        // offset: the carried scan must end each record exactly where a
+        // fresh split does.
+        let mut input = Vec::new();
+        for i in 0..24 {
+            let body: String = (0..i * 7)
+                .map(|j| format!("\"{}\\\\\\\"{{[\", ", "}]".repeat(j % 5)))
+                .collect();
+            input.extend_from_slice(format!("{{\"o\": [{body}{i}]}}\n").as_bytes());
+            input.extend_from_slice(format!("[{body}[{{}}]]\n").as_bytes());
+            input.extend_from_slice(format!("\"{}\\\"{i}\" ", "{".repeat(i * 11)).as_bytes());
+        }
+        let spans = crate::split_records(&input).unwrap();
+        let expected: Vec<Vec<u8>> = spans.iter().map(|&(s, e)| input[s..e].to_vec()).collect();
+        for chunk in [16, 63, 64, 65, 200, 4096] {
+            assert_eq!(collect_records(&input, chunk), expected, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn open_record_at_eof_is_still_diagnosed_exactly() {
+        // An open record spanning many refills, then EOF: the same typed
+        // error, truncated-record count and resync span as before.
+        let mut input = b"{\"a\": 1}\n{\"open\": [\"".to_vec();
+        input.extend_from_slice(&b"x".repeat(1000));
+        let metrics = Arc::new(Metrics::new());
+        let mut r = ChunkedRecords::with_buffer_size(&input[..], 16).metrics(Arc::clone(&metrics));
+        assert!(r.next_record().unwrap().is_some());
+        assert!(matches!(r.next_record(), Err(ReadRecordError::Stream(_))));
+        assert_eq!(metrics.snapshot().truncated_records, 1);
+        assert_eq!(r.resync().unwrap().unwrap(), (9, input.len() as u64));
+        assert!(r.next_record().unwrap().is_none());
     }
 
     #[test]

@@ -6,6 +6,10 @@
 //! [`ErrorPolicy::SkipMalformed`], where every record is evaluated exactly
 //! once regardless of parallelism (under `FailFast` workers may speculate
 //! past the failing record, so only delivered-side counters are portable).
+//!
+//! The long-stream properties at the end cross the parallel pipeline's
+//! record-batch boundaries: hundreds of records, some larger than a whole
+//! batch, with rejections, malformed records and resyncs landing mid-batch.
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -14,7 +18,7 @@ use proptest::prelude::*;
 
 use jsonski::{
     CancellationToken, EngineError, ErrorPolicy, JsonSki, Match, MatchSink, Metrics,
-    MetricsSnapshot, Pipeline, PipelineSummary, RecordSource, SliceRecords,
+    MetricsSnapshot, Pipeline, PipelineSummary, RecordSource, ResourceLimits, SliceRecords,
 };
 
 /// Owned in-memory record batch (malformed records included verbatim —
@@ -133,6 +137,136 @@ fn resync_batch() -> BoxedStrategy<Vec<Vec<u8>>> {
         1..12,
     )
     .boxed()
+}
+
+/// Largest record the long streams below accept; longer ones are rejected
+/// before dispatch. The pipeline hands records over in batches of at most
+/// 64 KiB, so records between the two fill a batch on their own.
+const LONG_LIMIT: usize = 80 * 1024;
+
+/// A record of `lo..hi` bytes, give or take 16: a long string to skip, or
+/// a long array of matches for the `a` queries.
+fn sized_record(lo: usize, hi: usize) -> BoxedStrategy<Vec<u8>> {
+    (lo..hi, 0usize..2)
+        .prop_map(|(len, dense)| {
+            let mut r = if dense == 1 {
+                let mut r = b"{\"a\": [0".to_vec();
+                let mut i = 1;
+                while r.len() + 16 < len {
+                    r.extend_from_slice(format!(", {i}").as_bytes());
+                    i += 1;
+                }
+                r.extend_from_slice(b"]");
+                r
+            } else {
+                let mut r = b"{\"b\": {\"c\": 1}, \"pad\": \"".to_vec();
+                r.resize(len.saturating_sub(12), b'x');
+                r.extend_from_slice(b"\", \"a\": 7");
+                r
+            };
+            r.extend_from_slice(b"}");
+            r
+        })
+        .boxed()
+}
+
+/// Hundreds of records: mostly small valid ones, with malformed,
+/// splitter-breaking, larger-than-a-batch and over-the-limit records mixed
+/// in, so flushes, pre-dispatch rejections and resyncs land mid-batch.
+fn long_stream() -> BoxedStrategy<Vec<u8>> {
+    prop::collection::vec(
+        prop_oneof![
+            120 => valid_record(),
+            3 => malformed_record(),
+            2 => splitter_breaking_record(),
+            1 => sized_record(64 * 1024 + 64, LONG_LIMIT),
+            1 => sized_record(LONG_LIMIT + 64, LONG_LIMIT + 4096),
+        ],
+        200..600,
+    )
+    .prop_map(|records| {
+        let mut stream = Vec::new();
+        for r in records {
+            stream.extend_from_slice(&r);
+            stream.push(b'\n');
+        }
+        stream
+    })
+    .boxed()
+}
+
+/// One sink callback, as observed.
+#[derive(Debug, PartialEq, Eq)]
+enum Event {
+    Match(u64, Vec<u8>),
+    Error(u64, String),
+    Resync((u64, u64)),
+}
+
+/// Sink recording every callback in order; optionally trips a token on the
+/// `n`-th callback.
+#[derive(Default)]
+struct Tape {
+    events: Vec<Event>,
+    cancel_at: Option<(usize, CancellationToken)>,
+}
+
+impl Tape {
+    fn log(&mut self, event: Event) -> ControlFlow<()> {
+        self.events.push(event);
+        if let Some((at, token)) = &self.cancel_at {
+            if self.events.len() == *at {
+                token.cancel();
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn match_bytes(&self) -> impl Iterator<Item = &[u8]> {
+        self.events.iter().filter_map(|e| match e {
+            Event::Match(_, bytes) => Some(bytes.as_slice()),
+            _ => None,
+        })
+    }
+}
+
+impl MatchSink for Tape {
+    fn on_match(&mut self, m: Match<'_>) -> ControlFlow<()> {
+        self.log(Event::Match(m.record_idx(), m.bytes().to_vec()))
+    }
+
+    fn on_record_error(&mut self, record_idx: u64, error: &EngineError) -> ControlFlow<()> {
+        self.log(Event::Error(record_idx, error.to_string()))
+    }
+
+    fn on_resync(&mut self, span: (u64, u64), _error: &EngineError) -> ControlFlow<()> {
+        self.log(Event::Resync(span))
+    }
+}
+
+/// Runs a long stream through `SliceRecords` with [`LONG_LIMIT`] enforced,
+/// cancelling on the `n`-th sink callback when `cancel_at` is set.
+fn run_long(
+    engine: &JsonSki,
+    stream: &[u8],
+    jobs: usize,
+    policy: ErrorPolicy,
+    cancel_at: Option<usize>,
+) -> (Tape, Result<PipelineSummary, String>) {
+    let mut pipeline = Pipeline::new()
+        .workers(jobs)
+        .error_policy(policy)
+        .limits(ResourceLimits::default().max_record_bytes(LONG_LIMIT));
+    let mut tape = Tape::default();
+    if let Some(at) = cancel_at {
+        let token = CancellationToken::new();
+        pipeline = pipeline.cancel_token(token.clone());
+        tape.cancel_at = Some((at, token));
+    }
+    let result = pipeline
+        .run(engine, &mut SliceRecords::new(stream), &mut tape)
+        .map_err(|e| e.to_string());
+    (tape, result)
 }
 
 fn query() -> BoxedStrategy<String> {
@@ -465,5 +599,82 @@ proptest! {
             .map(|(_, b)| b.as_slice())
             .collect();
         prop_assert_eq!(glued, whole, "q={} jobs={} cancel_at={}", q, jobs, cancel_at);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // Across batch boundaries the parallel pipeline must reproduce the
+    // serial run exactly: every callback, its order and arguments, and the
+    // result (summary or error message).
+    #[test]
+    fn long_streams_equal_serial_across_batch_boundaries(stream in long_stream(), q in query()) {
+        let engine = JsonSki::compile(&q).unwrap();
+        for policy in [ErrorPolicy::FailFast, ErrorPolicy::SkipMalformed] {
+            let (ref_tape, ref_result) = run_long(&engine, &stream, 1, policy, None);
+            for jobs in [2usize, 8] {
+                let (tape, result) = run_long(&engine, &stream, jobs, policy, None);
+                prop_assert!(
+                    tape.events == ref_tape.events,
+                    "callbacks diverge: q={} jobs={} policy={:?}", q, jobs, policy
+                );
+                prop_assert_eq!(&result, &ref_result, "result: q={} jobs={} policy={:?}", q, jobs, policy);
+            }
+        }
+    }
+
+    // Cancelling on an arbitrary callback (usually mid-batch) and resuming
+    // from the committed offset must cover the stream exactly once, for
+    // every worker count and both policies.
+    #[test]
+    fn long_streams_cancel_mid_batch_and_resume_once(
+        stream in long_stream(),
+        q in query(),
+        at in 1usize..400,
+    ) {
+        let engine = JsonSki::compile(&q).unwrap();
+        for policy in [ErrorPolicy::FailFast, ErrorPolicy::SkipMalformed] {
+            for jobs in [1usize, 2, 8] {
+                let (full_tape, full) = run_long(&engine, &stream, jobs, policy, None);
+                let (first_tape, first) = run_long(&engine, &stream, jobs, policy, Some(at));
+                let first = match first {
+                    // The failure came before the cancellation took effect:
+                    // identical to the uncancelled run.
+                    Err(e) => {
+                        prop_assert_eq!(Err(e), full.clone());
+                        prop_assert!(first_tape.events == full_tape.events);
+                        continue;
+                    }
+                    Ok(first) => first,
+                };
+                if !first.cancelled {
+                    prop_assert_eq!(Ok(first), full.clone());
+                    continue;
+                }
+                let off = first.committed_offset as usize;
+                prop_assert!(off <= stream.len());
+                let (second_tape, second) = run_long(&engine, &stream[off..], jobs, policy, None);
+                let whole: Vec<&[u8]> = full_tape.match_bytes().collect();
+                let glued: Vec<&[u8]> = first_tape.match_bytes().chain(second_tape.match_bytes()).collect();
+                prop_assert!(
+                    glued == whole,
+                    "match bytes: q={} jobs={} policy={:?} at={}", q, jobs, policy, at
+                );
+                match (&full, &second) {
+                    (Ok(full), Ok(second)) => {
+                        prop_assert_eq!(first.records + second.records, full.records);
+                        prop_assert_eq!(first.matches + second.matches, full.matches);
+                        prop_assert_eq!(first.failed + second.failed, full.failed);
+                        prop_assert_eq!(first.resyncs + second.resyncs, full.resyncs);
+                        prop_assert_eq!(first.resync_bytes + second.resync_bytes, full.resync_bytes);
+                    }
+                    (Err(_), Err(_)) => {}
+                    (a, b) => {
+                        prop_assert!(false, "result kind diverges after resume: {:?} vs {:?}", a, b);
+                    }
+                }
+            }
+        }
     }
 }
