@@ -203,10 +203,9 @@ fn strict_guard(c: &mut Criterion) {
 }
 
 /// Overhead guard for the on-demand extraction API: delivering matches as
-/// lazy [`jsonski::Match`] handles through `FnSink` must track the old
-/// byte-slice sink (`ByteFnSink`, now a deprecated shim) to within 3% —
-/// the handle is a `Copy` of (index, record pointer, span), so building it
-/// adds no per-match allocation. The `typed_decode` column shows the
+/// lazy [`jsonski::Match`] handles through `FnSink` — the handle is a
+/// `Copy` of (index, record pointer, span), so building it adds no
+/// per-match allocation. The `typed_decode` column shows the
 /// opt-in cost of actually decoding each match, and `get_many` shows the
 /// pointer-tree batch extractor on the same record.
 fn extract_guard(c: &mut Criterion) {
@@ -220,18 +219,6 @@ fn extract_guard(c: &mut Criterion) {
     let mut g = c.benchmark_group("extract_guard_TT1");
     g.throughput(Throughput::Bytes(record.len() as u64));
     g.sample_size(10);
-    g.bench_function("byte_slice_sink", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            #[allow(deprecated)]
-            let mut sink = jsonski::ByteFnSink::new(|_idx, bytes: &[u8]| {
-                total += bytes.len();
-                ControlFlow::Continue(())
-            });
-            ski.evaluate(record, 0, &mut sink);
-            total
-        })
-    });
     g.bench_function("lazy_match_sink", |b| {
         b.iter(|| {
             let mut total = 0usize;

@@ -6,12 +6,13 @@
 use std::io::{Read, Write};
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use jsonski::{
-    digest_parts, fingerprint, CancellationToken, Checkpoint, CheckpointCadence, EngineConfig,
-    EngineError, ErrorPolicy, Evaluate, JsonSki, Kernel, Metrics, MetricsSnapshot, MultiQuery,
-    Pipeline, PipelineSummary, ReadRecordError, ResourceLimits, RetryPolicy, ValidationMode,
-    FINGERPRINT_BYTES,
+    digest_parts, fingerprint, CancellationToken, Checkpoint, CheckpointCadence, ChunkedRecords,
+    EngineConfig, EngineError, ErrorPolicy, Evaluate, JsonSki, Kernel, LimitExceeded, Metrics,
+    MetricsSnapshot, MultiQuery, Pipeline, PipelineSummary, RecordSource, ResourceLimits,
+    RetryPolicy, SliceRecords, ValidationMode, FINGERPRINT_BYTES,
 };
 
 pub mod serve;
@@ -79,6 +80,11 @@ pub struct RunReport {
     pub skipped: u64,
     /// The run was cut short by cooperative cancellation.
     pub cancelled: bool,
+    /// Global input offset just past the last record (or resynchronized
+    /// span) the run got through. An early exit (`--limit`, cancellation)
+    /// leaves it short of the input length: the bytes after it were never
+    /// examined.
+    pub consumed: u64,
 }
 
 impl RunReport {
@@ -386,8 +392,9 @@ options:
   -c, --count        print the number of matches instead of the matches
   -s, --stats        print fast-forward statistics to stderr
   -n, --limit N      stop after N matches
-  -j, --jobs N       evaluate stdin records on N parallel pipeline workers
-                     (single query only; output order is still record order)
+  -j, --jobs N       evaluate the records of FILE or stdin on N parallel
+                     pipeline workers (single query only; output is the
+                     same as with -j 1, in record order)
       --skip-malformed
                      skip records that fail to evaluate (reported on stderr)
                      instead of aborting the whole stream
@@ -599,22 +606,6 @@ fn parse_args_inner<I: IntoIterator<Item = String>>(args: I) -> Result<Options, 
     Ok(opts)
 }
 
-/// What [`run_with_outcome`] did: the per-query match counts and how far
-/// into the input the scan advanced. An early exit (`--limit`) leaves
-/// `consumed` short of the input length — the bytes after it were never
-/// examined.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RunOutcome {
-    /// Matches per query, in query order.
-    pub counts: Vec<usize>,
-    /// Number of input bytes examined before the scan ended.
-    pub consumed: usize,
-    /// Records skipped under `--skip-malformed` (including resyncs).
-    pub skipped: u64,
-    /// The scan was cut short by cooperative cancellation.
-    pub cancelled: bool,
-}
-
 fn write_counts(opts: &Options, counts: &[usize], out: &mut dyn Write) -> Result<(), String> {
     if opts.count_only {
         for (q, c) in opts.queries.iter().zip(counts) {
@@ -737,228 +728,6 @@ fn measure_queries(
     Ok(out)
 }
 
-/// Runs the tool over an in-memory input, writing matches to `out`.
-/// Returns the per-query match counts.
-///
-/// # Errors
-///
-/// Query-compilation, streaming, or I/O errors as strings.
-pub fn run(opts: &Options, input: &[u8], out: &mut dyn Write) -> Result<Vec<usize>, String> {
-    run_with_outcome(opts, input, out).map(|o| o.counts)
-}
-
-/// Like [`run`], also reporting how many input bytes were examined (an
-/// early `--limit` exit stops the scan mid-stream).
-///
-/// # Errors
-///
-/// Query-compilation, streaming, or I/O errors as strings.
-pub fn run_with_outcome(
-    opts: &Options,
-    input: &[u8],
-    out: &mut dyn Write,
-) -> Result<RunOutcome, String> {
-    run_ctl(opts, input, out, &RunControls::default()).map_err(|e| e.to_string())
-}
-
-/// [`run_with_outcome`] with [`RunControls`]: cancellation is honoured at
-/// record boundaries. (In-memory runs do not checkpoint — `main` routes
-/// `--checkpoint` runs through the streaming path even for file input.)
-///
-/// # Errors
-///
-/// [`CliError`], classified for exit-code selection.
-pub fn run_ctl(
-    opts: &Options,
-    input: &[u8],
-    out: &mut dyn Write,
-    controls: &RunControls,
-) -> Result<RunOutcome, CliError> {
-    let cancellation = controls.cancel.as_ref();
-    let mut cancelled = false;
-    let mut counts = vec![0usize; opts.queries.len()];
-    let mut total_stats = jsonski::FastForwardStats::new();
-    let mut emitted = 0usize;
-    let mut skipped = 0u64;
-    let mut resyncs = 0u64;
-    let mut resync_bytes = 0u64;
-    let mut consumed = 0usize;
-    let limits = opts.limits();
-    // Aggregate counters for the live pass; a disabled registry makes every
-    // `record_stream` call a no-op so runs without `--metrics` pay nothing.
-    let agg = if opts.metrics.is_some() {
-        Metrics::new()
-    } else {
-        Metrics::disabled()
-    };
-    let single = if opts.queries.len() == 1 {
-        Some(
-            JsonSki::compile(&opts.queries[0])
-                .map_err(|e| CliError::Usage(e.to_string()))?
-                .with_config(opts.engine_config()),
-        )
-    } else {
-        None
-    };
-    let multi = if single.is_none() {
-        let queries: Vec<&str> = opts.queries.iter().map(|s| s.as_str()).collect();
-        Some(
-            MultiQuery::compile(&queries)
-                .map_err(|e| CliError::Usage(e.to_string()))?
-                .with_limits(limits)
-                .with_validation(opts.validation)
-                .with_kernel(opts.kernel),
-        )
-    } else {
-        None
-    };
-    // Per-record staging: a streaming engine can emit matches before it
-    // diagnoses an error later in the same record, so output and counts are
-    // committed only once the record evaluates cleanly — the same
-    // discard-on-failure rule the parallel pipeline applies.
-    let mut buf: Vec<u8> = Vec::new();
-    let mut rec_counts = vec![0usize; opts.queries.len()];
-    // Records are split lazily: when `--limit` breaks the scan, the records
-    // after the break point are never even boundary-scanned.
-    let mut splitter = jsonski::RecordSplitter::new(input);
-    while let Some(span) = splitter.next() {
-        if cancellation.is_some_and(CancellationToken::is_cancelled) {
-            cancelled = true;
-            break;
-        }
-        let (s, e) = match span {
-            Ok(se) => se,
-            Err(err) => {
-                // Under --skip-malformed a broken record boundary is
-                // recoverable: resynchronize at the next raw newline and
-                // keep streaming the records after it.
-                if opts.skip_malformed {
-                    if let Some((from, to)) = splitter.resync() {
-                        skipped += 1;
-                        resyncs += 1;
-                        resync_bytes += (to - from) as u64;
-                        consumed = to;
-                        agg.record_resync((to - from) as u64);
-                        agg.record_skipped_record();
-                        continue;
-                    }
-                }
-                return Err(CliError::Fatal(err.to_string()));
-            }
-        };
-        let record = &input[s..e];
-        if record.len() > limits.max_record_bytes {
-            let err = jsonski::LimitExceeded::RecordBytes {
-                len: record.len(),
-                limit: limits.max_record_bytes,
-            };
-            if opts.skip_malformed {
-                skipped += 1;
-                consumed = e;
-                agg.record_limit_rejection();
-                agg.record_skipped_record();
-                continue;
-            }
-            return Err(CliError::Fatal(format!("resource limit exceeded: {err}")));
-        }
-        buf.clear();
-        rec_counts.iter_mut().for_each(|c| *c = 0);
-        let mut rec_emitted = 0usize;
-        // The stopwatch is a no-op unless the `metrics` feature is on AND
-        // the registry is live, so the timed wrapper costs nothing here.
-        let sw = agg.stopwatch();
-        let result = if let Some(engine) = &single {
-            engine.stream(record, |m| {
-                rec_counts[0] += 1;
-                rec_emitted += 1;
-                if !opts.count_only {
-                    append_match(&mut buf, &m, opts.extract);
-                    buf.push(b'\n');
-                }
-                if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })
-        } else {
-            multi.as_ref().unwrap().stream(record, |i, m| {
-                rec_counts[i] += 1;
-                rec_emitted += 1;
-                if !opts.count_only {
-                    buf.extend_from_slice(format!("{i}\t").as_bytes());
-                    append_match(&mut buf, &m, opts.extract);
-                    buf.push(b'\n');
-                }
-                if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
-                    ControlFlow::Break(())
-                } else {
-                    ControlFlow::Continue(())
-                }
-            })
-        };
-        let eval_ns = sw.elapsed_ns();
-        agg.add_eval_ns(eval_ns);
-        match result {
-            Ok(outcome) => {
-                total_stats += outcome.stats;
-                consumed = s + outcome.consumed;
-                agg.add_traverse_ns(eval_ns.saturating_sub(outcome.classify_ns));
-                agg.record_stream(record.len(), &outcome);
-                out.write_all(&buf)
-                    .map_err(|e| CliError::Io(e.to_string()))?;
-                for (c, d) in counts.iter_mut().zip(&rec_counts) {
-                    *c += d;
-                }
-                emitted += rec_emitted;
-                if outcome.stopped {
-                    break; // --limit reached; the rest of the input is untouched
-                }
-            }
-            Err(err) => {
-                if opts.skip_malformed {
-                    skipped += 1;
-                    consumed = e;
-                    agg.record_stream_failure(record.len());
-                    agg.record_skipped_record();
-                } else {
-                    return Err(CliError::Fatal(err.to_string()));
-                }
-            }
-        }
-    }
-    report_skipped(skipped);
-    report_resynced(resyncs, resync_bytes);
-    write_counts(opts, &counts, out).map_err(CliError::Io)?;
-    if opts.stats {
-        eprintln!("fast-forward: {total_stats}");
-    }
-    if let Some(mode) = opts.metrics {
-        // Single query: the live pass *is* the per-query measurement. With
-        // multiple queries the live pass runs them combined, so each query
-        // is re-measured on its own over the full input (`--limit` applies
-        // only to the live pass).
-        let per_query = if single.is_some() {
-            vec![(opts.queries[0].clone(), agg.snapshot())]
-        } else {
-            measure_queries(
-                &opts.queries,
-                input,
-                opts.skip_malformed,
-                opts.engine_config(),
-            )
-            .map_err(CliError::Fatal)?
-        };
-        emit_metrics(mode, &per_query, &agg.snapshot());
-    }
-    Ok(RunOutcome {
-        counts,
-        consumed,
-        skipped,
-        cancelled,
-    })
-}
-
 /// Per-run checkpoint state carried by [`WriteSink`]. Matches are staged
 /// in memory and only flushed to the output stream when a checkpoint is
 /// persisted, so `output_bytes` in the file never overstates what reached
@@ -1037,179 +806,116 @@ impl jsonski::MatchSink for WriteSink<'_> {
     }
 }
 
-/// Runs the tool over a streaming reader with bounded memory (used for
-/// stdin): records are pulled one at a time via
-/// [`jsonski::ChunkedRecords`], so the process never holds the whole
-/// stream. With `--jobs N` (single query) the records are fanned out to a
-/// [`jsonski::Pipeline`] worker pool; matches still print in record order.
+/// The input of a run.
+pub enum Input<'a> {
+    /// A whole input already in memory (a FILE argument), split into
+    /// records by [`SliceRecords`].
+    Bytes(&'a [u8]),
+    /// A stream read record by record with bounded memory through
+    /// [`ChunkedRecords`]: stdin, or a checkpointed input already advanced
+    /// past its committed prefix.
+    Reader(Box<dyn Read + 'a>),
+}
+
+/// Runs the tool over an in-memory input, writing matches to `out`.
+/// Returns the per-query match counts.
 ///
 /// # Errors
 ///
 /// Query-compilation, streaming, or I/O errors as strings.
-pub fn run_reader<R: std::io::Read>(
-    opts: &Options,
-    reader: R,
-    out: &mut dyn Write,
-) -> Result<Vec<usize>, String> {
-    run_reader_ctl(opts, reader, out, &RunControls::default())
+pub fn run(opts: &Options, input: &[u8], out: &mut dyn Write) -> Result<Vec<usize>, String> {
+    run_input(opts, Input::Bytes(input), out, &RunControls::default())
         .map(|r| r.counts)
         .map_err(|e| e.to_string())
 }
 
-fn read_error_to_cli(e: &ReadRecordError) -> CliError {
-    match e {
-        ReadRecordError::Io(_) => CliError::Io(e.to_string()),
-        _ => CliError::Fatal(e.to_string()),
-    }
+/// Runs the tool over a streaming reader with bounded memory, writing
+/// matches to `out`. Returns the per-query match counts.
+///
+/// # Errors
+///
+/// Query-compilation, streaming, or I/O errors as strings.
+pub fn run_reader<R: Read>(
+    opts: &Options,
+    reader: R,
+    out: &mut dyn Write,
+) -> Result<Vec<usize>, String> {
+    run_input(
+        opts,
+        Input::Reader(Box::new(reader)),
+        out,
+        &RunControls::default(),
+    )
+    .map(|r| r.counts)
+    .map_err(|e| e.to_string())
 }
 
-/// [`run_reader`] with [`RunControls`]: cancellation is honoured at record
-/// boundaries, and — for single-query runs — progress can be checkpointed.
-/// A checkpointed run routes through the [`jsonski::Pipeline`] even at
-/// `--jobs 1`, because the checkpoint cadence hangs off the pipeline's
-/// in-order merge point.
+/// Runs the tool: evaluates the queries over every record of `input` and
+/// writes the matches to `out`, in record order.
+///
+/// A single query runs on a [`Pipeline`] of `opts.jobs` workers, which
+/// stages each record's matches and delivers them only once the record
+/// evaluates cleanly, so output is byte-identical for every worker count.
+/// Cancellation is honoured at record boundaries. A checkpointed run
+/// (`controls.checkpoint`) must read an [`Input::Reader`] that starts at
+/// the baseline's offset: the reader's offsets continue from there.
+///
+/// Several queries share one serial pass per record ([`MultiQuery`]);
+/// `--jobs` does not apply to them and is noted on stderr.
 ///
 /// # Errors
 ///
 /// [`CliError`], classified for exit-code selection.
-pub fn run_reader_ctl<R: std::io::Read>(
+pub fn run_input(
     opts: &Options,
-    reader: R,
+    input: Input<'_>,
     out: &mut dyn Write,
     controls: &RunControls,
 ) -> Result<RunReport, CliError> {
-    if opts.queries.len() == 1 && (opts.jobs > 1 || controls.checkpoint.is_some()) {
-        return run_reader_pipeline(opts, reader, out, controls);
-    }
-    if opts.jobs > 1 {
-        eprintln!("jsonski: --jobs applies to single-query runs; running serially");
-    }
-    let queries: Vec<&str> = opts.queries.iter().map(|s| s.as_str()).collect();
-    let limits = opts.limits();
-    let engine = MultiQuery::compile(&queries)
-        .map_err(|e| CliError::Usage(e.to_string()))?
-        .with_limits(limits)
-        .with_validation(opts.validation)
-        .with_kernel(opts.kernel);
-    let single = opts.queries.len() == 1;
-    let mut counts = vec![0usize; opts.queries.len()];
-    let mut total_stats = jsonski::FastForwardStats::new();
-    let mut emitted = 0usize;
-    let mut skipped = 0u64;
-    let mut resyncs = 0u64;
-    let mut resync_bytes = 0u64;
-    let agg = std::sync::Arc::new(if opts.metrics.is_some() {
-        Metrics::new()
+    // One registry serves both `--metrics` and `--stats`; without either,
+    // nothing is recorded.
+    let registry = (opts.metrics.is_some() || opts.stats).then(|| Arc::new(Metrics::new()));
+    let whole = match input {
+        Input::Bytes(bytes) => Some(bytes),
+        Input::Reader(_) => None,
+    };
+    let mut source = records(opts, input, controls, registry.as_ref());
+    let (counts, summary) = if opts.queries.len() == 1 {
+        run_single(opts, source.as_mut(), out, controls, registry.as_ref())?
     } else {
-        Metrics::disabled()
-    });
-    let mut records = jsonski::ChunkedRecords::new(reader)
-        .limits(limits)
-        .retry(RetryPolicy::new(opts.retry))
-        .metrics(std::sync::Arc::clone(&agg));
-    if let Some(token) = &controls.cancel {
-        // A tripped token makes the reader report a clean end of stream at
-        // the next record boundary, so the drain below needs no extra checks.
-        records = records.cancel_token(token.clone());
-    }
-    // Same per-record staging as `run_with_outcome`: nothing from a record
-    // reaches `out` or the counts until the record evaluates cleanly.
-    let mut buf: Vec<u8> = Vec::new();
-    let mut rec_counts = vec![0usize; opts.queries.len()];
-    loop {
-        // The record borrows the reader, so the error is carried out of the
-        // match as an owned value before `resync` re-borrows it.
-        let failure = match records.next_record() {
-            Ok(None) => break,
-            Err(e) => Some(e),
-            Ok(Some(record)) => {
-                buf.clear();
-                rec_counts.iter_mut().for_each(|c| *c = 0);
-                let mut rec_emitted = 0usize;
-                let sw = agg.stopwatch();
-                let result = engine.stream(record, |i, m| {
-                    rec_counts[i] += 1;
-                    rec_emitted += 1;
-                    if !opts.count_only {
-                        if !single {
-                            buf.extend_from_slice(format!("{i}\t").as_bytes());
-                        }
-                        append_match(&mut buf, &m, opts.extract);
-                        buf.push(b'\n');
-                    }
-                    if opts.limit > 0 && emitted + rec_emitted >= opts.limit {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                let eval_ns = sw.elapsed_ns();
-                agg.add_eval_ns(eval_ns);
-                match result {
-                    Ok(outcome) => {
-                        total_stats += outcome.stats;
-                        agg.add_traverse_ns(eval_ns.saturating_sub(outcome.classify_ns));
-                        agg.record_stream(record.len(), &outcome);
-                        out.write_all(&buf)
-                            .map_err(|e| CliError::Io(e.to_string()))?;
-                        for (c, d) in counts.iter_mut().zip(&rec_counts) {
-                            *c += d;
-                        }
-                        emitted += rec_emitted;
-                        if outcome.stopped {
-                            break;
-                        }
-                    }
-                    Err(err) => {
-                        if opts.skip_malformed {
-                            skipped += 1;
-                            agg.record_stream_failure(record.len());
-                            agg.record_skipped_record();
-                        } else {
-                            return Err(CliError::Fatal(err.to_string()));
-                        }
-                    }
-                }
-                None
-            }
-        };
-        if let Some(e) = failure {
-            // I/O failures are unrecoverable; structural and limit errors
-            // are skippable under --skip-malformed by resynchronizing at
-            // the next record boundary (the pipeline applies the same rule).
-            if !opts.skip_malformed || matches!(e, ReadRecordError::Io(_)) {
-                return Err(read_error_to_cli(&e));
-            }
-            match records.resync() {
-                Ok(Some((from, to))) => {
-                    skipped += 1;
-                    resyncs += 1;
-                    resync_bytes += to - from;
-                    agg.record_resync(to - from);
-                    agg.record_skipped_record();
-                }
-                Ok(None) => break, // nothing left to skip: clean end of stream
-                Err(e) => return Err(read_error_to_cli(&e)),
-            }
-        }
-    }
-    let cancelled = controls
-        .cancel
-        .as_ref()
-        .is_some_and(CancellationToken::is_cancelled);
+        run_multi(opts, source.as_mut(), out, controls, registry.as_deref())?
+    };
+    // Each resynced span is one abandoned record, so it counts as a skip.
+    let skipped = summary.failed + summary.resyncs;
     report_skipped(skipped);
-    report_resynced(resyncs, resync_bytes);
+    report_resynced(summary.resyncs, summary.resync_bytes);
     write_counts(opts, &counts, out).map_err(CliError::Io)?;
+    let snap = registry.map(|m| m.snapshot());
     if opts.stats {
-        eprintln!("fast-forward: {total_stats}");
+        // Under a parallel FailFast early exit these counters cover the
+        // records actually evaluated (workers may speculate past a
+        // `--limit` break).
+        let stats = snap.as_ref().expect("registry exists when --stats is on");
+        eprintln!("fast-forward: {}", stats.fast_forward_stats());
     }
     if let Some(mode) = opts.metrics {
-        // Streamed records cannot be replayed for per-query re-measurement,
-        // so multi-query reader runs report aggregate counters only.
-        let snap = agg.snapshot();
-        let per_query = if single {
+        let snap = snap.expect("registry exists when --metrics is on");
+        let per_query = if opts.queries.len() == 1 {
             vec![(opts.queries[0].clone(), snap.clone())]
+        } else if let Some(bytes) = whole {
+            // The live pass runs the queries combined, so each query is
+            // re-measured on its own over the full input (`--limit`
+            // applies only to the live pass).
+            measure_queries(
+                &opts.queries,
+                bytes,
+                opts.skip_malformed,
+                opts.engine_config(),
+            )
+            .map_err(CliError::Fatal)?
         } else {
+            // Streamed records cannot be replayed for re-measurement, so
+            // the report carries aggregate counters only.
             Vec::new()
         };
         emit_metrics(mode, &per_query, &snap);
@@ -1217,28 +923,68 @@ pub fn run_reader_ctl<R: std::io::Read>(
     Ok(RunReport {
         counts,
         skipped,
-        cancelled,
+        cancelled: summary.cancelled,
+        consumed: summary.committed_offset,
     })
 }
 
-/// The `--jobs N` / `--checkpoint` path: records fan out to a worker pool
-/// (possibly of one) and the in-order merge step feeds this process's
-/// stdout; with a [`CheckpointSetup`], match output is staged per
-/// checkpoint interval and flushed only when the checkpoint file is saved,
-/// so the file's `output_bytes` always describes durably written output.
-fn run_reader_pipeline<R: std::io::Read>(
+/// The record source for `input`: the bit-parallel splitter over an
+/// in-memory input, or a bounded-memory reader whose offsets continue from
+/// a resumed checkpoint's committed prefix.
+fn records<'a>(
     opts: &Options,
-    reader: R,
+    input: Input<'a>,
+    controls: &RunControls,
+    registry: Option<&Arc<Metrics>>,
+) -> Box<dyn RecordSource + 'a> {
+    match input {
+        Input::Bytes(bytes) => Box::new(SliceRecords::new(bytes)),
+        Input::Reader(reader) => {
+            let start = controls
+                .checkpoint
+                .as_ref()
+                .map_or(0, |c| c.baseline.offset);
+            let mut source = ChunkedRecords::new(reader)
+                .limits(opts.limits())
+                .retry(RetryPolicy::new(opts.retry))
+                .start_offset(start);
+            if let Some(m) = registry {
+                source = source.metrics(Arc::clone(m));
+            }
+            Box::new(source)
+        }
+    }
+}
+
+/// A single query on a [`Pipeline`]. With a [`CheckpointSetup`], match
+/// output is staged per checkpoint interval and flushed only when the
+/// checkpoint file is saved, so the file's `output_bytes` always describes
+/// durably written output.
+fn run_single(
+    opts: &Options,
+    source: &mut dyn RecordSource,
     out: &mut dyn Write,
     controls: &RunControls,
-) -> Result<RunReport, CliError> {
-    let limits = opts.limits();
+    registry: Option<&Arc<Metrics>>,
+) -> Result<(Vec<usize>, PipelineSummary), CliError> {
     let engine = JsonSki::compile(&opts.queries[0])
         .map_err(|e| CliError::Usage(e.to_string()))?
         .with_config(opts.engine_config());
-    let mut source = jsonski::ChunkedRecords::new(reader)
-        .limits(limits)
-        .retry(RetryPolicy::new(opts.retry));
+    let policy = if opts.skip_malformed {
+        ErrorPolicy::SkipMalformed
+    } else {
+        ErrorPolicy::FailFast
+    };
+    let mut pipeline = Pipeline::new()
+        .workers(opts.jobs)
+        .error_policy(policy)
+        .limits(opts.limits());
+    if let Some(m) = registry {
+        pipeline = pipeline.metrics(Arc::clone(m));
+    }
+    if let Some(token) = &controls.cancel {
+        pipeline = pipeline.cancel_token(token.clone());
+    }
     let mut sink = WriteSink {
         out,
         count_only: opts.count_only,
@@ -1248,34 +994,7 @@ fn run_reader_pipeline<R: std::io::Read>(
         io_error: None,
         checkpoint: None,
     };
-    let policy = if opts.skip_malformed {
-        ErrorPolicy::SkipMalformed
-    } else {
-        ErrorPolicy::FailFast
-    };
-    // One shared registry serves both `--metrics` and `--stats`: workers
-    // record into it concurrently and the snapshot is read after the join.
-    let registry = if opts.metrics.is_some() || opts.stats {
-        Some(std::sync::Arc::new(Metrics::new()))
-    } else {
-        None
-    };
-    let mut pipeline = Pipeline::new()
-        .workers(opts.jobs)
-        .error_policy(policy)
-        .limits(limits);
-    if let Some(m) = &registry {
-        pipeline = pipeline.metrics(std::sync::Arc::clone(m));
-        source = source.metrics(std::sync::Arc::clone(m));
-    }
-    if let Some(token) = &controls.cancel {
-        source = source.cancel_token(token.clone());
-        pipeline = pipeline.cancel_token(token.clone());
-    }
     if let Some(setup) = &controls.checkpoint {
-        // Resumed segments keep whole-stream coordinates: the caller has
-        // already discarded `baseline.offset` bytes from the reader.
-        source = source.start_offset(setup.baseline.offset);
         pipeline = pipeline.checkpoints(CheckpointCadence::default().every_records(setup.every));
         sink.checkpoint = Some(CheckpointState {
             path: setup.path.clone(),
@@ -1284,11 +1003,9 @@ fn run_reader_pipeline<R: std::io::Read>(
             flushed_bytes: setup.baseline.output_bytes,
         });
     }
-    let summary = pipeline
-        .run(&engine, &mut source, &mut sink)
+    let mut summary = pipeline
+        .run(&engine, source, &mut sink)
         .map_err(|e| engine_error_to_cli(&e))?;
-    // Destructuring releases the sink's reborrow of `out` so the trailer
-    // (counts line, final checkpoint) can write to it directly.
     let WriteSink {
         emitted,
         io_error,
@@ -1298,46 +1015,153 @@ fn run_reader_pipeline<R: std::io::Read>(
     if let Some(err) = io_error {
         return Err(CliError::Io(err.to_string()));
     }
-    // Each resynced span is one abandoned record, so the skip report matches
-    // the serial paths (which count resyncs as skips too).
-    report_skipped(summary.failed + summary.resyncs);
-    report_resynced(summary.resyncs, summary.resync_bytes);
-    let counts = vec![emitted];
-    write_counts(opts, &counts, out).map_err(CliError::Io)?;
-    if let Some(state) = checkpoint {
-        if !summary.cancelled {
-            // The run finished on its own terms (end of stream or --limit):
-            // mark the checkpoint complete so a later --resume is a no-op
-            // instead of a partial re-run.
-            let mut ck = state.baseline.advanced(&summary);
-            ck.output_bytes = state.flushed_bytes;
-            ck.complete = true;
-            ck.save(&state.path)
-                .map_err(|e| CliError::Io(format!("checkpoint save failed: {e}")))?;
+    // The token may trip while a read blocks at the very end of the stream:
+    // the run still ends on the signal, and is not marked complete.
+    summary.cancelled |= tripped(controls.cancel.as_ref());
+    if let Some(state) = checkpoint.filter(|_| !summary.cancelled) {
+        // The run finished on its own terms (end of stream or --limit):
+        // mark the checkpoint complete so a later --resume is a no-op
+        // instead of a partial re-run.
+        let mut ck = state.baseline.advanced(&summary);
+        ck.output_bytes = state.flushed_bytes;
+        ck.complete = true;
+        ck.save(&state.path)
+            .map_err(|e| CliError::Io(format!("checkpoint save failed: {e}")))?;
+    }
+    Ok((vec![emitted], summary))
+}
+
+/// Several queries in one serial pass per record: the loop [`Pipeline`]
+/// cannot carry, because a [`jsonski::Match`] does not say which query it
+/// answers. It applies the pipeline's rules: a record's output is staged
+/// and written only once the record evaluates cleanly, failed records and
+/// broken spans are skipped under `--skip-malformed`, and cancellation
+/// stops at a record boundary.
+fn run_multi(
+    opts: &Options,
+    source: &mut dyn RecordSource,
+    out: &mut dyn Write,
+    controls: &RunControls,
+    registry: Option<&Metrics>,
+) -> Result<(Vec<usize>, PipelineSummary), CliError> {
+    if opts.jobs > 1 {
+        eprintln!("jsonski: --jobs applies to single-query runs; running serially");
+    }
+    let limits = opts.limits();
+    let queries: Vec<&str> = opts.queries.iter().map(String::as_str).collect();
+    let engine = MultiQuery::compile(&queries)
+        .map_err(|e| CliError::Usage(e.to_string()))?
+        .with_limits(limits)
+        .with_validation(opts.validation)
+        .with_kernel(opts.kernel);
+    let disabled = Metrics::disabled();
+    let agg = registry.unwrap_or(&disabled);
+    let cancel = controls.cancel.as_ref();
+    let mut counts = vec![0usize; opts.queries.len()];
+    let mut summary = PipelineSummary::default();
+    let mut buf: Vec<u8> = Vec::new();
+    let mut rec_counts = vec![0usize; opts.queries.len()];
+    while !summary.stopped && !tripped(cancel) {
+        // The record borrows the source, so a source error leaves the match
+        // as an owned value before `resync` borrows the source again.
+        let failure = match source.next_record() {
+            Ok(None) => break,
+            Err(e) => Some(e),
+            Ok(Some(record)) => {
+                summary.records += 1;
+                buf.clear();
+                rec_counts.fill(0);
+                let mut rec_emitted = 0usize;
+                let result = if record.len() > limits.max_record_bytes {
+                    agg.record_limit_rejection();
+                    Err(format!(
+                        "resource limit exceeded: {}",
+                        LimitExceeded::RecordBytes {
+                            len: record.len(),
+                            limit: limits.max_record_bytes,
+                        }
+                    ))
+                } else {
+                    let sw = agg.stopwatch();
+                    let result = engine.stream(record, |i, m| {
+                        rec_counts[i] += 1;
+                        rec_emitted += 1;
+                        if !opts.count_only {
+                            buf.extend_from_slice(format!("{i}\t").as_bytes());
+                            append_match(&mut buf, &m, opts.extract);
+                            buf.push(b'\n');
+                        }
+                        if opts.limit > 0 && summary.matches + rec_emitted >= opts.limit {
+                            ControlFlow::Break(())
+                        } else {
+                            ControlFlow::Continue(())
+                        }
+                    });
+                    let eval_ns = sw.elapsed_ns();
+                    agg.add_eval_ns(eval_ns);
+                    match result {
+                        Ok(outcome) => {
+                            agg.add_traverse_ns(eval_ns.saturating_sub(outcome.classify_ns));
+                            agg.record_stream(record.len(), &outcome);
+                            Ok(outcome.stopped)
+                        }
+                        Err(e) => {
+                            agg.record_stream_failure(record.len());
+                            Err(e.to_string())
+                        }
+                    }
+                };
+                match result {
+                    Ok(stopped) => {
+                        out.write_all(&buf)
+                            .map_err(|e| CliError::Io(e.to_string()))?;
+                        for (c, d) in counts.iter_mut().zip(&rec_counts) {
+                            *c += d;
+                        }
+                        summary.matches += rec_emitted;
+                        // --limit reached: the rest of the input is untouched.
+                        summary.stopped = stopped;
+                    }
+                    Err(_) if opts.skip_malformed => {
+                        summary.failed += 1;
+                        agg.record_skipped_record();
+                    }
+                    Err(e) => return Err(CliError::Fatal(e)),
+                }
+                None
+            }
+        };
+        if let Some(e) = failure {
+            // I/O failures are unrecoverable; structural and limit errors
+            // are skippable under --skip-malformed by resynchronizing at the
+            // next record boundary (the pipeline applies the same rule).
+            if !opts.skip_malformed || !e.is_resyncable() {
+                return Err(engine_error_to_cli(&e));
+            }
+            let Some((from, to)) = source.resync().map_err(|e| engine_error_to_cli(&e))? else {
+                return Err(engine_error_to_cli(&e));
+            };
+            summary.resyncs += 1;
+            summary.resync_bytes += to - from;
+            agg.record_resync(to - from);
+            agg.record_skipped_record();
+        }
+        if let Some(end) = source.consumed_offset() {
+            summary.committed_offset = end;
         }
     }
-    let snap = registry.map(|m| m.snapshot());
-    if opts.stats {
-        // Fast-forward counters are reconstructed from the shared registry;
-        // under FailFast early-exit they cover the records that were
-        // actually evaluated (workers may speculate past a `--limit` break).
-        let stats = snap.as_ref().expect("registry exists when --stats is on");
-        eprintln!("fast-forward: {}", stats.fast_forward_stats());
-    }
-    if let Some(mode) = opts.metrics {
-        let snap = snap.expect("registry exists when --metrics is on");
-        let per_query = vec![(opts.queries[0].clone(), snap.clone())];
-        emit_metrics(mode, &per_query, &snap);
-    }
-    Ok(RunReport {
-        counts,
-        skipped: summary.failed + summary.resyncs,
-        cancelled: summary.cancelled,
-    })
+    summary.cancelled = tripped(cancel);
+    Ok((counts, summary))
+}
+
+/// Whether cancellation was requested.
+fn tripped(cancel: Option<&CancellationToken>) -> bool {
+    cancel.is_some_and(CancellationToken::is_cancelled)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::reader_tests::each_route;
     use super::*;
 
     fn args(v: &[&str]) -> Result<Options, String> {
@@ -1446,11 +1270,14 @@ mod tests {
     #[test]
     fn typed_extraction_applies_on_reader_pipeline_path() {
         let input = b"{\"a\": \"x\\ny\"}\n{\"a\": \"plain\"}\n" as &[u8];
-        let opts = args(&["--extract", "typed", "-j", "2", "$.a"]).unwrap();
-        let mut out = Vec::new();
-        let counts = run_reader(&opts, input, &mut out).unwrap();
-        assert_eq!(counts, vec![2]);
-        assert_eq!(out, b"x\ny\nplain\n");
+        for jobs in ["1", "2"] {
+            let opts = args(&["--extract", "typed", "-j", jobs, "$.a"]).unwrap();
+            for (route, result) in each_route(&opts, input) {
+                let (counts, out) = result.unwrap();
+                assert_eq!(counts, vec![2], "{route} jobs={jobs}");
+                assert_eq!(out, b"x\ny\nplain\n", "{route} jobs={jobs}");
+            }
+        }
     }
 
     #[test]
@@ -1621,12 +1448,13 @@ mod tests {
         }
         let o = args(&["-n", "1", "$.a"]).unwrap();
         let mut out = Vec::new();
-        let outcome = run_with_outcome(&o, &input, &mut out).unwrap();
-        assert_eq!(outcome.counts, vec![1]);
+        let report =
+            run_input(&o, Input::Bytes(&input), &mut out, &RunControls::default()).unwrap();
+        assert_eq!(report.counts, vec![1]);
         assert!(
-            outcome.consumed < input.len() / 10,
+            report.consumed < input.len() as u64 / 10,
             "consumed {} of {} bytes",
-            outcome.consumed,
+            report.consumed,
             input.len()
         );
     }
@@ -1702,7 +1530,6 @@ mod tests {
         let mut out = Vec::new();
         let err = run_reader(&strict, &input[..], &mut out).unwrap_err();
         assert!(err.contains("byte 11"), "{err}");
-        let lenient = args(&["--strict", "--skip-malformed", "$.a"]).unwrap();
         for jobs in [None, Some(4)] {
             let mut argv = vec!["--strict".to_string(), "--skip-malformed".to_string()];
             if let Some(j) = jobs {
@@ -1710,13 +1537,12 @@ mod tests {
             }
             argv.push("$.a".to_string());
             let o = parse_args(argv).unwrap();
-            let mut out = Vec::new();
-            assert_eq!(run_reader(&o, &input[..], &mut out).unwrap(), vec![1]);
-            assert_eq!(out, b"2\n", "jobs={jobs:?}");
+            for (route, result) in each_route(&o, &input) {
+                let (counts, out) = result.unwrap();
+                assert_eq!(counts, vec![1], "{route} jobs={jobs:?}");
+                assert_eq!(out, b"2\n", "{route} jobs={jobs:?}");
+            }
         }
-        let mut out = Vec::new();
-        assert_eq!(run(&lenient, &input, &mut out).unwrap(), vec![1]);
-        assert_eq!(out, b"2\n");
     }
 
     #[test]
@@ -1900,10 +1726,11 @@ mod reader_tests {
             }
             argv.push("$.a".to_string());
             let o = parse_args(argv).unwrap();
-            let mut out = Vec::new();
-            let counts = run_reader(&o, &input[..], &mut out).unwrap();
-            assert_eq!(counts, vec![2], "jobs={jobs:?}");
-            assert_eq!(out, b"1\n3\n", "jobs={jobs:?}");
+            for (route, result) in each_route(&o, input) {
+                let (counts, out) = result.unwrap();
+                assert_eq!(counts, vec![2], "{route} jobs={jobs:?}");
+                assert_eq!(out, b"1\n3\n", "{route} jobs={jobs:?}");
+            }
         }
     }
 
@@ -1913,8 +1740,9 @@ mod reader_tests {
         for jobs in ["1", "4"] {
             let strict =
                 parse_args(["-j".to_string(), jobs.to_string(), "$.a".to_string()]).unwrap();
-            let mut out = Vec::new();
-            assert!(run_reader(&strict, &input[..], &mut out).is_err());
+            for (route, result) in each_route(&strict, input) {
+                assert!(result.is_err(), "{route} jobs={jobs}");
+            }
             let lenient = parse_args([
                 "-j".to_string(),
                 jobs.to_string(),
@@ -1922,10 +1750,11 @@ mod reader_tests {
                 "$.a".to_string(),
             ])
             .unwrap();
-            let mut out = Vec::new();
-            let counts = run_reader(&lenient, &input[..], &mut out).unwrap();
-            assert_eq!(counts, vec![2], "jobs={jobs}");
-            assert_eq!(out, b"1\n3\n", "jobs={jobs}");
+            for (route, result) in each_route(&lenient, input) {
+                let (counts, out) = result.unwrap();
+                assert_eq!(counts, vec![2], "{route} jobs={jobs}");
+                assert_eq!(out, b"1\n3\n", "{route} jobs={jobs}");
+            }
         }
     }
 
@@ -1947,21 +1776,25 @@ mod reader_tests {
 
     #[test]
     fn run_reader_parallel_skip_malformed() {
-        let input = b"{\"a\": 1}\n{\"a\" 2}\n{\"a\": 3}\n";
-        let strict = parse_args(["-j".into(), "4".into(), "$.a".into()]).unwrap();
-        let mut out = Vec::new();
-        assert!(run_reader(&strict, &input[..], &mut out).is_err());
-        let lenient = parse_args([
-            "-j".into(),
-            "4".into(),
-            "--skip-malformed".into(),
-            "$.a".into(),
-        ])
-        .unwrap();
-        let mut out = Vec::new();
-        let counts = run_reader(&lenient, &input[..], &mut out).unwrap();
-        assert_eq!(counts, vec![2]);
-        assert_eq!(out, b"1\n3\n");
+        let input = b"{\"a\": 1}\n{\"a\" 2}\n{\"a\": [3, 30}\n{\"a\": 4}\n";
+        for jobs in ["1", "4"] {
+            let strict = parse_args(["-j".into(), jobs.into(), "$.a".into()]).unwrap();
+            for (route, result) in each_route(&strict, input) {
+                assert!(result.is_err(), "{route} jobs={jobs}");
+            }
+            let lenient = parse_args([
+                "-j".into(),
+                jobs.into(),
+                "--skip-malformed".into(),
+                "$.a".into(),
+            ])
+            .unwrap();
+            for (route, result) in each_route(&lenient, input) {
+                let (counts, out) = result.unwrap();
+                assert_eq!(counts, vec![2], "{route} jobs={jobs}");
+                assert_eq!(out, b"1\n4\n", "{route} jobs={jobs}");
+            }
+        }
     }
 
     #[test]
@@ -1995,19 +1828,35 @@ mod reader_tests {
     fn run_reader_parallel_respects_limit() {
         let mut input = Vec::new();
         for i in 0..100 {
-            input.extend_from_slice(format!("{{\"a\": {i}}}\n").as_bytes());
+            input.extend_from_slice(format!("{{\"a\": [{i}, {i}]}}\n").as_bytes());
         }
-        let o = parse_args([
-            "-j".into(),
-            "4".into(),
-            "-n".into(),
-            "3".into(),
-            "$.a".into(),
-        ])
-        .unwrap();
-        let mut out = Vec::new();
-        let counts = run_reader(&o, &input[..], &mut out).unwrap();
-        assert_eq!(counts, vec![3]);
-        assert_eq!(out, b"0\n1\n2\n");
+        for jobs in ["1", "4"] {
+            let o = parse_args([
+                "-j".into(),
+                jobs.into(),
+                "-n".into(),
+                "3".into(),
+                "$.a[*]".into(),
+            ])
+            .unwrap();
+            for (route, result) in each_route(&o, &input) {
+                let (counts, out) = result.unwrap();
+                assert_eq!(counts, vec![3], "{route} jobs={jobs}");
+                assert_eq!(out, b"0\n0\n1\n", "{route} jobs={jobs}");
+            }
+        }
+    }
+
+    /// A run's match counts and output, or its error.
+    type Ran = Result<(Vec<usize>, Vec<u8>), String>;
+
+    /// Runs `opts` over `input` down both input routes: FILE (in memory,
+    /// [`Input::Bytes`]) and stdin (streamed, [`Input::Reader`]).
+    pub(super) fn each_route(opts: &Options, input: &[u8]) -> [(&'static str, Ran); 2] {
+        let mut file = Vec::new();
+        let file_result = run(opts, input, &mut file).map(|c| (c, file));
+        let mut stdin = Vec::new();
+        let stdin_result = run_reader(opts, input, &mut stdin).map(|c| (c, stdin));
+        [("file", file_result), ("stdin", stdin_result)]
     }
 }

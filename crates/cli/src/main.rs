@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use jsonski::CancellationToken;
-use jsonski_cli::{CliError, InputIdentity, Options, RunControls, RunReport, USAGE};
+use jsonski_cli::{CliError, Input, InputIdentity, Options, RunControls, RunReport, USAGE};
 
 fn main() -> ExitCode {
     // `jsonski serve …` is a separate mode with its own flags, signal
@@ -74,9 +74,8 @@ fn run(
     controls: &mut RunControls,
     out: &mut dyn Write,
 ) -> Result<RunReport, CliError> {
-    // A checkpointed run must stream (the checkpoint cadence hangs off the
-    // pipeline merge), so `--checkpoint` routes file input through the same
-    // reader path as stdin instead of the in-memory fast path.
+    // A checkpointed run streams its input, so a resume can skip the
+    // committed prefix without reading it into memory.
     if opts.checkpoint.is_some() {
         let identity = match &opts.file {
             Some(path) => InputIdentity::of_file(std::path::Path::new(path))
@@ -91,36 +90,30 @@ fn run(
                 counts: vec![0; opts.queries.len()],
                 skipped: 0,
                 cancelled: false,
+                consumed: plan.start_offset,
             });
         }
         let start = plan.start_offset;
         controls.checkpoint = Some(plan.setup);
-        return match &opts.file {
-            Some(path) => {
-                let mut file =
-                    std::fs::File::open(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-                discard_prefix(&mut file, start)?;
-                jsonski_cli::run_reader_ctl(opts, file, out, controls)
-            }
-            None => {
-                let mut stdin = std::io::stdin().lock();
-                discard_prefix(&mut stdin, start)?;
-                jsonski_cli::run_reader_ctl(opts, stdin, out, controls)
-            }
+        let mut reader: Box<dyn Read> = match &opts.file {
+            Some(path) => Box::new(
+                std::fs::File::open(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?,
+            ),
+            None => Box::new(std::io::stdin().lock()),
         };
+        discard_prefix(&mut reader, start)?;
+        return jsonski_cli::run_input(opts, Input::Reader(reader), out, controls);
     }
     match &opts.file {
         Some(path) => {
             let input = std::fs::read(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-            let outcome = jsonski_cli::run_ctl(opts, &input, out, controls)?;
-            Ok(RunReport {
-                counts: outcome.counts,
-                skipped: outcome.skipped,
-                cancelled: outcome.cancelled,
-            })
+            jsonski_cli::run_input(opts, Input::Bytes(&input), out, controls)
         }
         // Stdin is processed record by record with bounded memory.
-        None => jsonski_cli::run_reader_ctl(opts, std::io::stdin().lock(), out, controls),
+        None => {
+            let stdin = Box::new(std::io::stdin().lock());
+            jsonski_cli::run_input(opts, Input::Reader(stdin), out, controls)
+        }
     }
 }
 

@@ -138,3 +138,29 @@ fn multi_query_stdin() {
     assert!(stdout.contains("1\t2"));
     assert_eq!(code, Some(0));
 }
+
+#[test]
+fn jobs_apply_to_file_input_with_identical_output() {
+    let dir = std::env::temp_dir().join(format!("jsonski-test-jobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("data.ndjson");
+    let mut input = String::new();
+    for i in 0..2000 {
+        input.push_str(&format!("{{\"a\": [{i}, {}], \"b\": {i}}}\n", i * 10));
+    }
+    std::fs::write(&path, &input).unwrap();
+    let file = path.to_str().unwrap();
+    let (serial, _, code) = run_with_stdin(&["-j", "1", "$.a[*]", file], b"");
+    assert_eq!(code, Some(0));
+    assert_eq!(serial.lines().count(), 4000);
+    let (parallel, stderr, code) = run_with_stdin(&["-j", "2", "$.a[*]", file], b"");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(parallel, serial, "-j 2 must print what -j 1 prints");
+    // Several queries cannot share the pipeline: they run serially, and
+    // say so.
+    let (multi, stderr, code) = run_with_stdin(&["-j", "2", "$.a[0]", "$.b", file], b"");
+    assert_eq!(code, Some(0));
+    assert!(stderr.contains("running serially"), "{stderr}");
+    assert_eq!(multi.lines().count(), 4000);
+    std::fs::remove_dir_all(&dir).ok();
+}

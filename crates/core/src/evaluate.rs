@@ -368,34 +368,6 @@ impl<F: FnMut(Match<'_>) -> ControlFlow<()>> MatchSink for FnSink<F> {
     }
 }
 
-/// Adapts a closure with the pre-[`Match`] byte-slice signature
-/// `FnMut(record_idx, bytes) -> ControlFlow<()>` into a [`MatchSink`].
-///
-/// This is the compatibility shim for callers written against the old
-/// `on_match(record_idx, bytes)` delivery; see MIGRATION.md. New code
-/// should use [`FnSink`] and take the [`Match`] handle — it carries the
-/// span and the lazy typed accessors the byte slice cannot.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FnSink`, which receives a `Match<'_>` handle (see MIGRATION.md)"
-)]
-pub struct ByteFnSink<F>(F);
-
-#[allow(deprecated)]
-impl<F: FnMut(u64, &[u8]) -> ControlFlow<()>> ByteFnSink<F> {
-    /// Wraps `f`.
-    pub fn new(f: F) -> Self {
-        ByteFnSink(f)
-    }
-}
-
-#[allow(deprecated)]
-impl<F: FnMut(u64, &[u8]) -> ControlFlow<()>> MatchSink for ByteFnSink<F> {
-    fn on_match(&mut self, m: Match<'_>) -> ControlFlow<()> {
-        (self.0)(m.record_idx(), m.bytes())
-    }
-}
-
 /// A sink that counts matches and never stops.
 #[derive(Debug, Default)]
 pub struct CountSink {

@@ -42,6 +42,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod cancel;
 mod checkpoint;
@@ -72,8 +73,6 @@ pub use cancel::CancellationToken;
 pub use checkpoint::{digest_parts, fingerprint, Checkpoint, CheckpointCadence, FINGERPRINT_BYTES};
 pub use engine::{EngineConfig, EngineConfigBuilder, JsonSki, StreamOutcome, MAX_DEPTH};
 pub use error::{InvalidReason, StreamError};
-#[allow(deprecated)]
-pub use evaluate::ByteFnSink;
 pub use evaluate::{
     CountSink, EngineError, ErrorPolicy, Evaluate, FnSink, Match, MatchSink, RecordOutcome,
 };

@@ -47,12 +47,14 @@
 //! [`Pipeline::limits`] rejects oversized records before they reach a
 //! worker, as ordinary per-record failures.
 //!
-//! With `workers <= 1` the pipeline degenerates to a serial loop. Matches
-//! are still staged per record and replayed to the sink only after the
-//! record evaluates cleanly, so a malformed record delivers *nothing* —
+//! With `workers <= 1` the pipeline degenerates to a serial loop. Match
+//! spans are still staged per record and replayed to the sink only after
+//! the record evaluates cleanly, so a malformed record delivers *nothing* —
 //! byte-identical to the parallel merge for every worker count and both
-//! error policies. (Callers that want true mid-record early exit on a
-//! single record should use [`JsonSki::stream`] directly.)
+//! error policies. The replay borrows the record straight from the source,
+//! so the serial path copies no record either. (Callers that want true
+//! mid-record early exit on a single record should use [`JsonSki::stream`]
+//! directly.)
 //!
 //! # Observability
 //!
@@ -390,14 +392,16 @@ impl Pipeline {
         let mut summary = PipelineSummary::default();
         let mut tracker = self.checkpoints.map(CheckpointTracker::new);
         let mut idx = 0u64;
-        let mut staged = Collector::new();
+        let mut spans = Vec::new();
         loop {
             if self.is_cancelled() {
                 summary.cancelled = true;
                 break;
             }
             // The record borrow must die inside the match so the paths
-            // below can use the source again (resync, consumed_offset).
+            // below can use the source again (resync, consumed_offset), so
+            // a clean record's staged spans are replayed in here, while the
+            // matches can still borrow the source's buffer.
             let step = match source.next_record() {
                 Ok(None) => Step::Done,
                 Err(e) => Step::SourceErr(e),
@@ -413,16 +417,17 @@ impl Pipeline {
                             limit: self.limits.max_record_bytes,
                         }))
                     } else {
-                        staged.clear();
+                        spans.clear();
+                        let mut stage = SpanSink(&mut spans);
                         // Unwind safety: see `evaluate_batch` — engines hold no
-                        // cross-record state, and `staged` is cleared before
+                        // cross-record state, and `spans` is cleared before
                         // the next use so a torn stage is never replayed.
                         catch_unwind(AssertUnwindSafe(|| match metrics {
                             Some(m) => {
                                 m.record_worker(0, len);
-                                engine.evaluate_metered(record, idx, &mut staged, m)
+                                engine.evaluate_metered(record, idx, &mut stage, m)
                             }
-                            None => engine.evaluate(record, idx, &mut staged),
+                            None => engine.evaluate(record, idx, &mut stage),
                         }))
                         .unwrap_or_else(|p| {
                             if let Some(m) = metrics {
@@ -434,7 +439,11 @@ impl Pipeline {
                             })
                         })
                     };
-                    Step::Evaluated { len, outcome }
+                    let delivered = match outcome {
+                        RecordOutcome::Failed(e) => Err(e),
+                        _ => Ok(replay(record, &spans, idx, sink)),
+                    };
+                    Step::Evaluated { len, delivered }
                 }
             };
             match step {
@@ -447,15 +456,13 @@ impl Pipeline {
                     }
                     Resynced::Unrecoverable => return Err(e),
                 },
-                Step::Evaluated { len, outcome } => {
+                Step::Evaluated { len, delivered } => {
                     summary.records += 1;
                     if let Some(end) = source.consumed_offset() {
                         summary.committed_offset = summary.committed_offset.max(end);
                     }
-                    match outcome {
-                        RecordOutcome::Complete { .. } | RecordOutcome::Stopped { .. } => {
-                            let (delivered, broke) =
-                                replay(&staged.record, &staged.spans, idx, sink);
+                    match delivered {
+                        Ok((delivered, broke)) => {
                             summary.matches += delivered;
                             if let Some(m) = metrics {
                                 m.record_delivered(delivered as u64, len);
@@ -466,7 +473,7 @@ impl Pipeline {
                                 return Ok(summary);
                             }
                         }
-                        RecordOutcome::Failed(e) => match self.policy {
+                        Err(e) => match self.policy {
                             ErrorPolicy::FailFast => return Err(e),
                             ErrorPolicy::SkipMalformed => {
                                 summary.failed += 1;
@@ -905,11 +912,16 @@ enum Resynced {
 }
 
 /// One step of the serial loop, computed while the record borrow is live
-/// so the source can be used again (offset, resync) once it is dropped.
+/// so the source can be used again (offset, resync) once it is dropped. A
+/// clean record has already been replayed: `delivered` holds what
+/// [`replay`] returned, or the record's failure.
 enum Step {
     Done,
     SourceErr(EngineError),
-    Evaluated { len: u64, outcome: RecordOutcome },
+    Evaluated {
+        len: u64,
+        delivered: Result<(usize, bool), EngineError>,
+    },
 }
 
 /// One read of the parallel producer, classified while the record borrow
@@ -1109,42 +1121,10 @@ struct Shared {
     result_ready: Condvar,
 }
 
-/// Serial-path stage: match spans plus (at most) one copy of the record
-/// they borrow from; never stops the engine (early exit is decided at
-/// replay time). The record is copied lazily on the first match, so
-/// records without matches stage nothing.
-struct Collector {
-    record: Vec<u8>,
-    spans: Vec<(usize, usize)>,
-}
-
-impl Collector {
-    fn new() -> Self {
-        Collector {
-            record: Vec::new(),
-            spans: Vec::new(),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.record.clear();
-        self.spans.clear();
-    }
-}
-
-impl MatchSink for Collector {
-    fn on_match(&mut self, m: Match<'_>) -> ControlFlow<()> {
-        if self.spans.is_empty() {
-            self.record.clear();
-            self.record.extend_from_slice(m.record());
-        }
-        self.spans.push(m.span());
-        ControlFlow::Continue(())
-    }
-}
-
-/// Worker-side stage: match spans only, appended to the batch's span list
-/// (the record bytes already live in the batch).
+/// Evaluation-side stage: match spans only, appended to a span list (the
+/// record bytes stay where they are: in the worker's batch, or in the
+/// source on the serial path). Never stops the engine; early exit is
+/// decided when the spans are replayed.
 struct SpanSink<'a>(&'a mut Vec<(usize, usize)>);
 
 impl MatchSink for SpanSink<'_> {
@@ -1431,6 +1411,29 @@ mod tests {
             vec![b"1".to_vec(), b"2".to_vec(), b"5".to_vec()],
             "partial matches of the failed record must not be delivered"
         );
+    }
+
+    #[test]
+    fn serial_replay_borrows_the_source_record() {
+        // The serial path replays matches over the source's own bytes: every
+        // delivered record must lie inside the input, not in a copy of it.
+        let stream = stream_of(50);
+        let range = stream.as_ptr_range();
+        let engine = JsonSki::compile("$.pad[*]").unwrap();
+        let mut sink = FnSink::new(|m: Match<'_>| {
+            let record = m.record().as_ptr_range();
+            assert!(
+                range.start <= record.start && record.end <= range.end,
+                "record {} was copied out of the input",
+                m.record_idx()
+            );
+            ControlFlow::Continue(())
+        });
+        let summary = Pipeline::new()
+            .workers(1)
+            .run(&engine, &mut SliceRecords::new(&stream), &mut sink)
+            .unwrap();
+        assert_eq!(summary.matches, 100);
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod families;
 mod stats;

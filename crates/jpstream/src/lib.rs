@@ -25,6 +25,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::error::Error;
 use std::fmt;

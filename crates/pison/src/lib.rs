@@ -31,6 +31,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod build;
 mod evaluate;

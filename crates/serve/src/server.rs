@@ -1130,7 +1130,9 @@ fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(
             return write_frame_guarded(conn, shared, &frame);
         }
     };
-    let shed_memory = |conn: &mut Conn, denied: &MemDenied| -> Result<(), WriteClose> {
+    // Like every shed, a memory shed carries an empty body: the reason
+    // field says why, and a shed frame never looks like partial output.
+    let shed_memory = |conn: &mut Conn| -> Result<(), WriteClose> {
         ServeStats::bump(&shared.stats.shed_memory);
         let frame = encode_response(
             Status::Shed,
@@ -1139,7 +1141,7 @@ fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(
             0,
             0,
             Some(ShedReason::Memory.name()),
-            denied.to_string().as_bytes(),
+            b"",
         );
         write_frame_guarded(conn, shared, &frame)
     };
@@ -1157,8 +1159,8 @@ fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(
         } else {
             match reserve_with_relief(shared, Some(&req.tenant), req.body.len()) {
                 Ok(p) => Some(p),
-                Err(denied) => {
-                    let write = shed_memory(conn, &denied);
+                Err(_) => {
+                    let write = shed_memory(conn);
                     drop(permit);
                     return write;
                 }
@@ -1211,8 +1213,8 @@ fn handle_query(req: Request, conn: &mut Conn, shared: &Arc<Shared>) -> Result<(
                             shared.config.chunk_bytes.max(1),
                         ) {
                             Ok(p) => Some(p),
-                            Err(denied) => {
-                                let write = shed_memory(conn, &denied);
+                            Err(_) => {
+                                let write = shed_memory(conn);
                                 drop(permit);
                                 return write;
                             }

@@ -297,6 +297,7 @@ fn tenant_share_sheds_only_the_hog() {
     let resp = hog.query("hog", "hog", QUERY, None, &big).unwrap();
     assert_eq!(resp.code, 429, "{:?}", resp.reason);
     assert_eq!(resp.reason.as_deref(), Some("memory"));
+    assert!(resp.body.is_empty(), "shed frames carry no body");
     let mut other = Client::connect_tcp(&addr).unwrap();
     let resp = other.query("ok", "polite", QUERY, None, &small).unwrap();
     assert_eq!(resp.code, 200, "{:?}", resp.reason);

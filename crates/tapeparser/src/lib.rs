@@ -22,6 +22,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod evaluate;
 mod query;
