@@ -106,9 +106,42 @@ fn fig14_scaling(c: &mut Criterion) {
     g.finish();
 }
 
+/// Many small BB records through a serial `Pipeline`, the shape where
+/// per-record costs (metric bookkeeping, deadline clock reads) show; one
+/// large record hides them.
+fn dense_pipeline_rows(
+    c: &mut Criterion,
+    group: &str,
+    rows: [(
+        &str,
+        jsonski::JsonSki,
+        Option<std::sync::Arc<jsonski::Metrics>>,
+    ); 2],
+) {
+    let data = Dataset::Bb.generate_small(&cfg(2 * MIB));
+    let mut g = c.benchmark_group(group);
+    g.throughput(Throughput::Bytes(data.bytes().len() as u64));
+    g.sample_size(10);
+    for (id, engine, metrics) in rows {
+        let mut pipeline = jsonski::Pipeline::new().workers(1);
+        if let Some(m) = metrics {
+            pipeline = pipeline.metrics(m);
+        }
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let mut sink = jsonski::CountSink::default();
+                let mut source = jsonski::SliceRecords::new(data.bytes());
+                pipeline.run(&engine, &mut source, &mut sink).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Overhead guard for the observability layer: the disabled-registry
 /// `evaluate_metered` path must track plain `evaluate` to within 2% (the
-/// acceptance bound); the live-registry column shows the enabled cost.
+/// acceptance bound); the live-registry column shows the enabled cost,
+/// on one large record and per record on a dense `Pipeline` run.
 fn metrics_overhead_guard(c: &mut Criterion) {
     use jsonski::Evaluate as _;
     let data = Dataset::Tt.generate_large(&cfg(2 * MIB));
@@ -134,6 +167,19 @@ fn metrics_overhead_guard(c: &mut Criterion) {
         })
     });
     g.finish();
+    let path: Path = "$.pd[*].cp[1:3].id".parse().unwrap();
+    dense_pipeline_rows(
+        c,
+        "metrics_guard_BB1_records",
+        [
+            ("pipeline_plain", jsonski::JsonSki::new(path.clone()), None),
+            (
+                "pipeline_live",
+                jsonski::JsonSki::new(path),
+                Some(std::sync::Arc::new(jsonski::Metrics::new())),
+            ),
+        ],
+    );
 }
 
 /// Overhead guard for the resource guards: evaluation under the default
@@ -164,6 +210,26 @@ fn limits_overhead_guard(c: &mut Criterion) {
         })
     });
     g.finish();
+    // Per record, a deadline costs a clock read at the record's start and
+    // one at its root container.
+    let path: Path = "$.pd[*].cp[1:3].id".parse().unwrap();
+    let deadline = jsonski::ResourceLimits::default().deadline(std::time::Duration::from_secs(2));
+    dense_pipeline_rows(
+        c,
+        "limits_guard_BB1_records",
+        [
+            (
+                "pipeline_default",
+                jsonski::JsonSki::new(path.clone()),
+                None,
+            ),
+            (
+                "pipeline_deadline_2s",
+                jsonski::JsonSki::new(path).with_limits(deadline),
+                None,
+            ),
+        ],
+    );
 }
 
 /// Overhead guard for adversarial-input hardening. Two bounds:

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use jsonski::{
     digest_parts, fingerprint, CancellationToken, Checkpoint, CheckpointCadence, ChunkedRecords,
-    EngineConfig, EngineError, ErrorPolicy, Evaluate, JsonSki, Kernel, LimitExceeded, Metrics,
+    EngineConfig, EngineError, ErrorPolicy, JsonSki, Kernel, LimitExceeded, Metrics,
     MetricsSnapshot, MultiQuery, Pipeline, PipelineSummary, RecordSource, ResourceLimits,
     RetryPolicy, SliceRecords, ValidationMode, FINGERPRINT_BYTES,
 };
@@ -696,10 +696,21 @@ fn emit_metrics(
     }
 }
 
+/// The pipeline policy `--skip-malformed` selects.
+fn error_policy(skip_malformed: bool) -> ErrorPolicy {
+    if skip_malformed {
+        ErrorPolicy::SkipMalformed
+    } else {
+        ErrorPolicy::FailFast
+    }
+}
+
 /// Measures each query in isolation over the in-memory input with a fresh
 /// [`Metrics`] registry, so a multi-query run can still report a
 /// fast-forward ratio *per query* (the live combined pass only yields
-/// aggregate counters).
+/// aggregate counters). Each query runs on a serial [`Pipeline`] under the
+/// run's error policy, so it skips and resynchronizes exactly where the
+/// live pass did.
 fn measure_queries(
     queries: &[String],
     input: &[u8],
@@ -711,18 +722,18 @@ fn measure_queries(
         let engine = JsonSki::compile(q)
             .map_err(|e| e.to_string())?
             .with_config(config);
-        let metrics = Metrics::new();
-        let mut sink = jsonski::CountSink::default();
-        for (idx, span) in jsonski::RecordSplitter::new(input).enumerate() {
-            let (s, e) = span.map_err(|e| e.to_string())?;
-            let outcome = engine.evaluate_metered(&input[s..e], idx as u64, &mut sink, &metrics);
-            if let jsonski::RecordOutcome::Failed(err) = outcome {
-                if !skip_malformed {
-                    return Err(err.to_string());
-                }
-                metrics.record_skipped_record();
-            }
-        }
+        let metrics = Arc::new(Metrics::new());
+        Pipeline::new()
+            .workers(1)
+            .error_policy(error_policy(skip_malformed))
+            .limits(config.limits)
+            .metrics(Arc::clone(&metrics))
+            .run(
+                &engine,
+                &mut SliceRecords::new(input),
+                &mut jsonski::CountSink::default(),
+            )
+            .map_err(|e| e.to_string())?;
         out.push((q.clone(), metrics.snapshot()));
     }
     Ok(out)
@@ -970,14 +981,9 @@ fn run_single(
     let engine = JsonSki::compile(&opts.queries[0])
         .map_err(|e| CliError::Usage(e.to_string()))?
         .with_config(opts.engine_config());
-    let policy = if opts.skip_malformed {
-        ErrorPolicy::SkipMalformed
-    } else {
-        ErrorPolicy::FailFast
-    };
     let mut pipeline = Pipeline::new()
         .workers(opts.jobs)
-        .error_policy(policy)
+        .error_policy(error_policy(opts.skip_malformed))
         .limits(opts.limits());
     if let Some(m) = registry {
         pipeline = pipeline.metrics(Arc::clone(m));
@@ -1388,6 +1394,14 @@ mod tests {
         assert_eq!(per[0].1.records_skipped, 1);
         assert_eq!(per[0].1.records_failed, 1);
         assert_eq!(per[0].1.matches_emitted, 2);
+        // A truncated tail breaks the record splitter itself: it is
+        // resynchronized past, as in the live pass, not a fatal error.
+        let truncated = b"{\"a\": 1}\n{\"a\": [1,\n";
+        assert!(measure_queries(&["$.a".to_string()], truncated, false, cfg).is_err());
+        let per = measure_queries(&["$.a".to_string()], truncated, true, cfg).unwrap();
+        assert_eq!(per[0].1.resyncs, 1);
+        assert_eq!(per[0].1.records_evaluated, 1);
+        assert_eq!(per[0].1.matches_emitted, 1);
     }
 
     #[test]

@@ -94,6 +94,31 @@ fn skipped_records_exit_3() {
 }
 
 #[test]
+fn multi_query_metrics_survive_a_truncated_tail() {
+    // The per-query re-measurement resynchronizes past the broken tail
+    // like the live pass: the run completes with skips (exit 3) and
+    // prints its metrics report.
+    let dir = std::env::temp_dir().join(format!("jsonski-test-mqm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("t.json");
+    std::fs::write(&path, b"{\"a\": 1}\n{\"a\": [1,\n").unwrap();
+    let file = path.to_str().unwrap();
+    let (stdout, stderr, code) = run_with_stdin(
+        &["--metrics", "json", "--skip-malformed", "$.a", "$.b", file],
+        b"",
+    );
+    assert_eq!(code, Some(3), "{stderr}");
+    assert_eq!(stdout, "0\t1\n");
+    assert!(
+        stderr.contains("{\"queries\":[{\"query\":\"$.a\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains("{\"query\":\"$.b\""), "{stderr}");
+    assert!(stderr.contains("\"aggregate\":{"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 #[cfg(unix)]
 fn sigint_drains_and_exits_130() {
     use std::time::Duration;

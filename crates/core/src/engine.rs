@@ -25,7 +25,7 @@ use crate::fastforward::{
     go_to_attr_with_opener, go_to_obj_end, Span,
 };
 use crate::lazy::LazyValue;
-use crate::limits::ResourceLimits;
+use crate::limits::{RecordDeadline, ResourceLimits};
 use crate::stats::{FastForwardStats, Group};
 use crate::validate::ValidationMode;
 use simdbits::Kernel;
@@ -315,11 +315,7 @@ impl JsonSki {
             pending: Vec::new(),
             flush_from: 0,
             config: self.config,
-            deadline: self
-                .config
-                .limits
-                .deadline
-                .map(|d| std::time::Instant::now() + d),
+            deadline: RecordDeadline::start(&self.config.limits),
         };
         let stopped = match eval.record() {
             Ok(()) => {
@@ -511,25 +507,25 @@ struct Eval<'a, 'p, F> {
     pending: Vec<PendingMatch>,
     flush_from: usize,
     config: EngineConfig,
-    /// Absolute cut-off instant when a per-record deadline is configured;
-    /// `None` (the default) keeps the hot path free of clock calls.
-    deadline: Option<std::time::Instant>,
+    /// The record's deadline when one is configured; `None` (the default)
+    /// keeps the hot path free of clock calls.
+    deadline: Option<RecordDeadline>,
 }
 
 impl<'a, F: FnMut(Match<'a>) -> ControlFlow<()>> Eval<'a, '_, F> {
     /// Depth/deadline guard shared by `object()` and `array()`: called
-    /// once per container entry, after `depth` was incremented.
+    /// once per container entry, after `depth` was incremented. The clock
+    /// is read only every 64 KiB of input (see [`RecordDeadline`]).
     fn check_guards(&mut self) -> Result<(), Abort> {
         if self.depth > self.config.limits.max_depth {
             return Err(Abort::Err(StreamError::TooDeep {
                 pos: self.cur.pos(),
             }));
         }
-        if let Some(dl) = self.deadline {
-            if std::time::Instant::now() >= dl {
-                return Err(Abort::Err(StreamError::DeadlineExpired {
-                    pos: self.cur.pos(),
-                }));
+        if let Some(dl) = &mut self.deadline {
+            let pos = self.cur.pos();
+            if dl.expired_at(pos) {
+                return Err(Abort::Err(StreamError::DeadlineExpired { pos }));
             }
         }
         Ok(())

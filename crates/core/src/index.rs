@@ -621,11 +621,15 @@ pub struct IndexedJsonSki<'a> {
     engine: &'a JsonSki,
     index: &'a StructuralIndex,
     stats: Option<&'a IndexStats>,
+    /// Classification bytes skipped so far; added to
+    /// [`IndexStats::skipped_bytes`] once, when the adapter drops, so
+    /// concurrent requests do not contend on the shared counter per record.
+    skipped: AtomicU64,
 }
 
 impl<'a> IndexedJsonSki<'a> {
     /// Wraps `engine` to serve bitmaps from `index`, optionally counting
-    /// hit bytes into `stats`.
+    /// hit bytes into `stats` (they land there when the adapter drops).
     pub fn new(
         engine: &'a JsonSki,
         index: &'a StructuralIndex,
@@ -635,6 +639,7 @@ impl<'a> IndexedJsonSki<'a> {
             engine,
             index,
             stats,
+            skipped: AtomicU64::new(0),
         }
     }
 
@@ -650,9 +655,19 @@ impl<'a> IndexedJsonSki<'a> {
     }
 
     fn count_skip(&self, record: &[u8], words_classified: usize) {
-        if let Some(stats) = self.stats {
+        if self.stats.is_some() {
             let bytes = (words_classified * BLOCK).min(record.len()) as u64;
-            stats.skipped_bytes.fetch_add(bytes, Ordering::Relaxed);
+            self.skipped.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+}
+
+impl Drop for IndexedJsonSki<'_> {
+    fn drop(&mut self) {
+        if let Some(stats) = self.stats {
+            stats
+                .skipped_bytes
+                .fetch_add(*self.skipped.get_mut(), Ordering::Relaxed);
         }
     }
 }
@@ -757,7 +772,8 @@ impl Evaluate for IndexedJsonSki<'_> {
     }
 }
 
-// Evaluate requires Sync; all fields are shared references to Sync types.
+// Evaluate requires Sync; every field is a shared reference to a Sync type
+// or an atomic.
 #[allow(dead_code)]
 fn assert_sync(v: IndexedJsonSki<'_>) -> impl Sync + '_ {
     v
@@ -929,6 +945,21 @@ mod tests {
             let cached = collect(&indexed, &mut IndexedRecords::new(CORPUS, &idx));
             assert_eq!(cached, uncached, "{query}");
         }
+    }
+
+    #[test]
+    fn skipped_bytes_reach_stats_when_the_adapter_drops() {
+        let engine = JsonSki::compile("$.a").unwrap();
+        let idx = StructuralIndex::build(CORPUS, digest()).unwrap();
+        let stats = IndexStats::new();
+        let indexed = IndexedJsonSki::new(&engine, &idx, Some(&stats));
+        collect(&indexed, &mut IndexedRecords::new(CORPUS, &idx));
+        assert_eq!(stats.skipped_bytes.load(Ordering::Relaxed), 0);
+        drop(indexed);
+        // Every record is shorter than one block: all of it was served
+        // from the index, so every record byte counts.
+        let record_bytes: u64 = idx.spans().iter().map(|&(s, e)| e - s).sum();
+        assert_eq!(stats.skipped_bytes.load(Ordering::Relaxed), record_bytes);
     }
 
     #[test]

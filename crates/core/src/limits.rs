@@ -13,7 +13,7 @@
 //! [`ErrorPolicy::SkipMalformed`]: crate::ErrorPolicy::SkipMalformed
 
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::engine::MAX_DEPTH;
 
@@ -50,9 +50,14 @@ pub struct ResourceLimits {
     /// Cap on the streaming reader's internal buffer. A record that never
     /// closes hits this cap instead of growing the buffer to OOM.
     pub max_buffer_bytes: usize,
-    /// Optional wall-clock budget for evaluating one record; checked at
-    /// container boundaries during the scan. `None` (the default) compiles
-    /// to a never-taken branch — no clock calls on the hot path.
+    /// Optional wall-clock budget for evaluating one record. The clock is
+    /// read when the record starts and at its root container, then only at
+    /// a container entry at least 64 KiB past the previous read, so a
+    /// small record costs two clock reads and an expired deadline is
+    /// noticed within 64 KiB of scanning (plus the container being
+    /// entered) inside a large one. A record with no container is never
+    /// checked after it starts. `None` (the default) compiles to a
+    /// never-taken branch — no clock calls on the hot path.
     pub deadline: Option<Duration>,
 }
 
@@ -100,6 +105,40 @@ impl ResourceLimits {
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
         self
+    }
+}
+
+/// Input bytes scanned between two deadline clock reads inside a record.
+const DEADLINE_CHECK_BYTES: usize = 64 * 1024;
+
+/// A record's [`ResourceLimits::deadline`] as the engines check it at
+/// container entries: the clock is read at the first entry (the root
+/// container), then only at entries [`DEADLINE_CHECK_BYTES`] or more past
+/// the previous read.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RecordDeadline {
+    at: Instant,
+    next_check: usize,
+}
+
+impl RecordDeadline {
+    /// Starts the record's clock (`None` when no deadline is configured).
+    pub(crate) fn start(limits: &ResourceLimits) -> Option<Self> {
+        limits.deadline.map(|d| RecordDeadline {
+            at: Instant::now() + d,
+            next_check: 0,
+        })
+    }
+
+    /// Whether the deadline has passed, judged at a container entry at
+    /// byte `pos`; between reads it answers `false` without the clock.
+    #[inline]
+    pub(crate) fn expired_at(&mut self, pos: usize) -> bool {
+        if pos < self.next_check {
+            return false;
+        }
+        self.next_check = pos.saturating_add(DEADLINE_CHECK_BYTES);
+        Instant::now() >= self.at
     }
 }
 

@@ -19,13 +19,22 @@
 //!
 //! # Cost model
 //!
-//! Byte-level counters are always compiled; they cost one relaxed atomic
-//! add per record-level event and nothing at all when no registry is
-//! attached (every instrumented call site takes an `Option`/runtime-checked
-//! registry). Time-resolved instrumentation (clock reads in [`Stopwatch`],
-//! per-word classification timing, cache-hit tracking) is additionally
-//! gated behind the `metrics` cargo feature so the default build's hot
-//! loops contain no clock calls whatsoever.
+//! Byte-level counters are always compiled and cost nothing at all when no
+//! registry is attached (every instrumented call site takes an
+//! `Option`/runtime-checked registry). A [`Pipeline`](crate::Pipeline) with
+//! a registry attached does not write it per record: each thread of the
+//! run (the serial loop, every worker, and the parallel merge) records
+//! into a tally it owns, whose adds are a plain load and store, and folds
+//! that tally into the shared registry with one saturating add per
+//! non-zero counter once per record batch (64 KiB or 256 records) and
+//! when the run ends, by any path. Counters therefore advance in
+//! batch-sized steps while a run is in flight, and are exact once
+//! [`Pipeline::run`](crate::Pipeline::run) has returned. Direct calls on a
+//! shared registry (outside a pipeline) cost one relaxed atomic add per
+//! counter touched. Time-resolved instrumentation (clock reads in
+//! [`Stopwatch`], per-word classification timing, cache-hit tracking) is
+//! additionally gated behind the `metrics` cargo feature so the default
+//! build's hot loops contain no clock calls whatsoever.
 //!
 //! # Snapshots
 //!
@@ -35,7 +44,9 @@
 //! shared registry. Snapshots render as human text ([`fmt::Display`]) or
 //! dependency-free JSON ([`MetricsSnapshot::to_json`]).
 
+use std::cell::Cell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::stats::{FastForwardStats, Group};
@@ -79,13 +90,10 @@ impl AtomicHistogram {
         }
     }
 
+    /// The counter a sample of `value` lands in.
     #[inline]
-    fn observe(&self, value: u64) {
-        let _ = self.buckets[Self::bucket_of(value)].fetch_update(
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-            |v| Some(v.saturating_add(1)),
-        );
+    fn bucket(&self, value: u64) -> &AtomicU64 {
+        &self.buckets[Self::bucket_of(value)]
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
@@ -184,6 +192,9 @@ impl Stopwatch {
 #[derive(Debug)]
 pub struct Metrics {
     enabled: bool,
+    /// Set only on a [`Tally`]'s staging registry, which one thread owns:
+    /// its adds are a plain load and store instead of a compare-and-swap.
+    owned: bool,
 
     // --- evaluated side (work performed by engines) ---
     records_evaluated: AtomicU64,
@@ -233,6 +244,7 @@ impl Metrics {
     fn with_enabled(enabled: bool) -> Self {
         Metrics {
             enabled,
+            owned: false,
             records_evaluated: AtomicU64::new(0),
             records_stopped: AtomicU64::new(0),
             records_failed: AtomicU64::new(0),
@@ -276,6 +288,56 @@ impl Metrics {
         Metrics::with_enabled(false)
     }
 
+    /// Adds `n` to one of this registry's counters, saturating.
+    #[inline]
+    fn add(&self, counter: &AtomicU64, n: u64) {
+        if self.owned {
+            // A tally is written only by the thread that owns it (see
+            // `Tally`), so a load and a store cannot lose an update.
+            let v = counter.load(Ordering::Relaxed);
+            counter.store(v.saturating_add(n), Ordering::Relaxed);
+        } else {
+            sat_add(counter, n);
+        }
+    }
+
+    /// Every counter, histogram buckets included, in one fixed order, so
+    /// two registries can be folded cell by cell.
+    fn cells(&self) -> impl Iterator<Item = &AtomicU64> {
+        [
+            &self.records_evaluated,
+            &self.records_stopped,
+            &self.records_failed,
+            &self.matches_emitted,
+            &self.bytes_evaluated,
+            &self.bytes_failed,
+            &self.words_classified,
+            &self.word_cache_hits,
+            &self.eval_ns,
+            &self.build_ns,
+            &self.traverse_ns,
+            &self.records_delivered,
+            &self.matches_delivered,
+            &self.bytes_delivered,
+            &self.records_skipped,
+            &self.io_retries,
+            &self.resyncs,
+            &self.resync_bytes,
+            &self.limit_rejections,
+            &self.truncated_records,
+            &self.worker_panics,
+            &self.checkpoints,
+            &self.producer_stalls,
+            &self.worker_idle_waits,
+        ]
+        .into_iter()
+        .chain(&self.ff_skipped)
+        .chain(&self.record_bytes.buckets)
+        .chain(&self.queue_occupancy.buckets)
+        .chain(&self.worker_records)
+        .chain(&self.worker_bytes)
+    }
+
     /// Whether the registry records anything at all.
     #[inline]
     pub fn is_enabled(&self) -> bool {
@@ -295,22 +357,22 @@ impl Metrics {
             return;
         }
         let len = record_len as u64;
-        self.record_bytes.observe(len);
+        self.add(self.record_bytes.bucket(len), 1);
         match outcome {
             crate::RecordOutcome::Complete { matches } => {
-                sat_add(&self.records_evaluated, 1);
-                sat_add(&self.bytes_evaluated, len);
-                sat_add(&self.matches_emitted, *matches as u64);
+                self.add(&self.records_evaluated, 1);
+                self.add(&self.bytes_evaluated, len);
+                self.add(&self.matches_emitted, *matches as u64);
             }
             crate::RecordOutcome::Stopped { matches } => {
-                sat_add(&self.records_evaluated, 1);
-                sat_add(&self.records_stopped, 1);
-                sat_add(&self.bytes_evaluated, len);
-                sat_add(&self.matches_emitted, *matches as u64);
+                self.add(&self.records_evaluated, 1);
+                self.add(&self.records_stopped, 1);
+                self.add(&self.bytes_evaluated, len);
+                self.add(&self.matches_emitted, *matches as u64);
             }
             crate::RecordOutcome::Failed(_) => {
-                sat_add(&self.records_failed, 1);
-                sat_add(&self.bytes_failed, len);
+                self.add(&self.records_failed, 1);
+                self.add(&self.bytes_failed, len);
             }
         }
     }
@@ -323,7 +385,7 @@ impl Metrics {
             return;
         }
         for g in Group::ALL {
-            sat_add(&self.ff_skipped[g.index()], stats.skipped(g));
+            self.add(&self.ff_skipped[g.index()], stats.skipped(g));
         }
     }
 
@@ -332,14 +394,14 @@ impl Metrics {
         if !self.enabled {
             return;
         }
-        sat_add(&self.words_classified, words_classified);
-        sat_add(&self.word_cache_hits, cache_hits);
+        self.add(&self.words_classified, words_classified);
+        self.add(&self.word_cache_hits, cache_hits);
     }
 
     /// Adds total evaluation wall time (engine entry to outcome).
     pub fn add_eval_ns(&self, ns: u64) {
         if self.enabled {
-            sat_add(&self.eval_ns, ns);
+            self.add(&self.eval_ns, ns);
         }
     }
 
@@ -347,14 +409,14 @@ impl Metrics {
     /// engines; tape/DOM/index construction for the preprocessing ones).
     pub fn add_build_ns(&self, ns: u64) {
         if self.enabled {
-            sat_add(&self.build_ns, ns);
+            self.add(&self.build_ns, ns);
         }
     }
 
     /// Adds traversal time (evaluation excluding structure building).
     pub fn add_traverse_ns(&self, ns: u64) {
         if self.enabled {
-            sat_add(&self.traverse_ns, ns);
+            self.add(&self.traverse_ns, ns);
         }
     }
 
@@ -364,16 +426,16 @@ impl Metrics {
         if !self.enabled {
             return;
         }
-        sat_add(&self.records_delivered, 1);
-        sat_add(&self.matches_delivered, matches);
-        sat_add(&self.bytes_delivered, record_bytes);
+        self.add(&self.records_delivered, 1);
+        self.add(&self.matches_delivered, matches);
+        self.add(&self.bytes_delivered, record_bytes);
     }
 
     /// Records one record skipped under
     /// [`ErrorPolicy::SkipMalformed`](crate::ErrorPolicy::SkipMalformed).
     pub fn record_skipped_record(&self) {
         if self.enabled {
-            sat_add(&self.records_skipped, 1);
+            self.add(&self.records_skipped, 1);
         }
     }
 
@@ -408,9 +470,9 @@ impl Metrics {
         if !self.enabled {
             return;
         }
-        sat_add(&self.records_failed, 1);
-        sat_add(&self.bytes_failed, record_len as u64);
-        self.record_bytes.observe(record_len as u64);
+        self.add(&self.records_failed, 1);
+        self.add(&self.bytes_failed, record_len as u64);
+        self.add(self.record_bytes.bucket(record_len as u64), 1);
     }
 
     /// Records one transparently retried transient I/O error
@@ -418,7 +480,7 @@ impl Metrics {
     /// [`RetryPolicy`](crate::RetryPolicy) budget).
     pub fn record_io_retry(&self) {
         if self.enabled {
-            sat_add(&self.io_retries, 1);
+            self.add(&self.io_retries, 1);
         }
     }
 
@@ -428,15 +490,15 @@ impl Metrics {
         if !self.enabled {
             return;
         }
-        sat_add(&self.resyncs, 1);
-        sat_add(&self.resync_bytes, bytes);
+        self.add(&self.resyncs, 1);
+        self.add(&self.resync_bytes, bytes);
     }
 
     /// Records one record rejected by a
     /// [`ResourceLimits`](crate::ResourceLimits) guard.
     pub fn record_limit_rejection(&self) {
         if self.enabled {
-            sat_add(&self.limit_rejections, 1);
+            self.add(&self.limit_rejections, 1);
         }
     }
 
@@ -444,7 +506,7 @@ impl Metrics {
     /// final record).
     pub fn record_truncated_record(&self) {
         if self.enabled {
-            sat_add(&self.truncated_records, 1);
+            self.add(&self.truncated_records, 1);
         }
     }
 
@@ -452,21 +514,21 @@ impl Metrics {
     /// [`EngineError::Panic`](crate::EngineError::Panic) by the pipeline.
     pub fn record_worker_panic(&self) {
         if self.enabled {
-            sat_add(&self.worker_panics, 1);
+            self.add(&self.worker_panics, 1);
         }
     }
 
     /// Records one checkpoint callback delivered from the in-order merge.
     pub fn record_checkpoint(&self) {
         if self.enabled {
-            sat_add(&self.checkpoints, 1);
+            self.add(&self.checkpoints, 1);
         }
     }
 
     /// Samples the work-queue occupancy observed while enqueuing.
     pub fn record_queue_occupancy(&self, in_flight: u64) {
         if self.enabled {
-            self.queue_occupancy.observe(in_flight);
+            self.add(self.queue_occupancy.bucket(in_flight), 1);
         }
     }
 
@@ -474,14 +536,14 @@ impl Metrics {
     /// reader blocked instead of buffering (backpressure engaged).
     pub fn record_producer_stall(&self) {
         if self.enabled {
-            sat_add(&self.producer_stalls, 1);
+            self.add(&self.producer_stalls, 1);
         }
     }
 
     /// Records one worker condvar wait (no queued work available).
     pub fn record_worker_wait(&self) {
         if self.enabled {
-            sat_add(&self.worker_idle_waits, 1);
+            self.add(&self.worker_idle_waits, 1);
         }
     }
 
@@ -493,8 +555,8 @@ impl Metrics {
             return;
         }
         let slot = worker.min(MAX_TRACKED_WORKERS - 1);
-        sat_add(&self.worker_records[slot], 1);
-        sat_add(&self.worker_bytes[slot], record_bytes);
+        self.add(&self.worker_records[slot], 1);
+        self.add(&self.worker_bytes[slot], record_bytes);
     }
 
     /// A point-in-time copy of every counter.
@@ -543,6 +605,65 @@ impl Metrics {
             worker_records,
             worker_bytes,
         }
+    }
+}
+
+/// A thread-owned staging registry in front of a shared [`Metrics`].
+///
+/// Recording straight into a registry that several threads share costs a
+/// compare-and-swap per counter touched, and moves the counters' cache
+/// lines between cores. A pipeline thread records into its own tally
+/// instead (hand [`recorder`](Self::recorder) to
+/// [`Evaluate::evaluate_metered`](crate::Evaluate::evaluate_metered)),
+/// whose adds are a plain load and store, and folds it into the shared
+/// registry with [`flush`](Self::flush) at batch boundaries. Dropping the
+/// tally flushes it, so every exit path (`Ok`, error, early stop,
+/// cancellation, unwinding) leaves the shared registry exact.
+///
+/// A tally is `!Sync`, and its recorder must only be written by the
+/// thread that created it: a concurrent writer could lose updates (never
+/// corrupt memory, since the cells are still atomics).
+pub(crate) struct Tally<'a> {
+    local: Metrics,
+    target: &'a Metrics,
+    _owned: PhantomData<Cell<()>>,
+}
+
+impl<'a> Tally<'a> {
+    /// An empty tally that folds into `target`; it records only when
+    /// `target` does.
+    pub(crate) fn new(target: &'a Metrics) -> Self {
+        let mut local = Metrics::with_enabled(target.enabled);
+        local.owned = true;
+        Tally {
+            local,
+            target,
+            _owned: PhantomData,
+        }
+    }
+
+    /// The registry to record into on the owning thread.
+    #[inline]
+    pub(crate) fn recorder(&self) -> &Metrics {
+        &self.local
+    }
+
+    /// Folds everything recorded since the last flush into the shared
+    /// registry: one saturating add per non-zero counter.
+    pub(crate) fn flush(&self) {
+        for (dst, src) in self.target.cells().zip(self.local.cells()) {
+            let v = src.load(Ordering::Relaxed);
+            if v != 0 {
+                src.store(0, Ordering::Relaxed);
+                sat_add(dst, v);
+            }
+        }
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -984,9 +1105,9 @@ mod tests {
         assert_eq!(HistogramSnapshot::bucket_floor(1), 1);
         assert_eq!(HistogramSnapshot::bucket_floor(15), 1 << 14);
         let h = AtomicHistogram::default();
-        h.observe(0);
-        h.observe(5);
-        h.observe(u64::MAX);
+        for v in [0, 5, u64::MAX] {
+            sat_add(h.bucket(v), 1);
+        }
         let s = h.snapshot();
         assert_eq!(s.buckets[0], 1);
         assert_eq!(s.buckets[3], 1);
@@ -998,7 +1119,7 @@ mod tests {
     fn histogram_counts_saturate_instead_of_wrapping() {
         let h = AtomicHistogram::default();
         h.buckets[3].store(u64::MAX, Ordering::Relaxed);
-        h.observe(5); // bucket 3
+        sat_add(h.bucket(5), 1); // bucket 3
         assert_eq!(h.snapshot().buckets[3], u64::MAX);
         // count() across saturated buckets saturates too.
         h.buckets[1].store(u64::MAX, Ordering::Relaxed);
@@ -1081,6 +1202,86 @@ mod tests {
         assert_eq!(delta.resyncs, 1);
         assert_eq!(delta.resync_bytes, 8);
         assert_eq!(delta.io_retries, 0);
+    }
+
+    /// Touches every counter of `m` at least once.
+    fn record_everything(m: &Metrics) {
+        m.record_outcome(100, &RecordOutcome::Complete { matches: 2 });
+        m.record_outcome(50, &RecordOutcome::Stopped { matches: 1 });
+        m.record_stream_failure(7);
+        let mut stats = FastForwardStats::new();
+        for (i, g) in Group::ALL.into_iter().enumerate() {
+            stats.record(g, 10 + i as u64);
+        }
+        m.record_fast_forward(&stats);
+        m.record_bitmap(3, 1);
+        m.add_eval_ns(10);
+        m.add_build_ns(4);
+        m.add_traverse_ns(6);
+        m.record_delivered(2, 100);
+        m.record_skipped_record();
+        m.record_io_retry();
+        m.record_resync(11);
+        m.record_limit_rejection();
+        m.record_truncated_record();
+        m.record_worker_panic();
+        m.record_checkpoint();
+        m.record_queue_occupancy(3);
+        m.record_producer_stall();
+        m.record_worker_wait();
+        m.record_worker(1, 100);
+        m.record_worker(MAX_TRACKED_WORKERS, 5);
+    }
+
+    #[test]
+    fn tally_cells_cover_every_counter() {
+        // Every field but the two flags is an `AtomicU64` cell; a counter
+        // missing from `cells()` would never be folded out of a tally.
+        let m = Metrics::new();
+        assert_eq!(
+            m.cells().count() * 8 + 8,
+            std::mem::size_of::<Metrics>(),
+            "a Metrics counter is missing from Metrics::cells"
+        );
+    }
+
+    #[test]
+    fn tally_folds_exactly_on_flush_and_drop() {
+        let direct = Metrics::new();
+        record_everything(&direct);
+        let shared = Metrics::new();
+        {
+            let tally = Tally::new(&shared);
+            record_everything(tally.recorder());
+            assert_eq!(shared.snapshot(), MetricsSnapshot::default());
+            tally.flush();
+            assert_eq!(shared.snapshot(), direct.snapshot());
+            assert_eq!(tally.recorder().snapshot(), MetricsSnapshot::default());
+            record_everything(tally.recorder());
+        }
+        record_everything(&direct);
+        assert_eq!(shared.snapshot(), direct.snapshot());
+    }
+
+    #[test]
+    fn tally_folds_saturate_and_respect_a_disabled_target() {
+        let shared = Metrics::new();
+        shared
+            .bytes_evaluated
+            .store(u64::MAX - 10, Ordering::Relaxed);
+        let tally = Tally::new(&shared);
+        tally
+            .recorder()
+            .record_outcome(100, &RecordOutcome::Complete { matches: 0 });
+        drop(tally);
+        assert_eq!(shared.snapshot().bytes_evaluated, u64::MAX);
+
+        let off = Metrics::disabled();
+        let tally = Tally::new(&off);
+        assert!(!tally.recorder().is_enabled());
+        record_everything(tally.recorder());
+        drop(tally);
+        assert_eq!(off.snapshot(), MetricsSnapshot::default());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::evaluate::Match;
 use crate::fastforward::{
     go_over_ary, go_over_obj, go_over_primitive, go_to_ary_end, go_to_obj_end, Span,
 };
-use crate::limits::ResourceLimits;
+use crate::limits::{RecordDeadline, ResourceLimits};
 use crate::stats::{FastForwardStats, Group};
 use crate::validate::ValidationMode;
 use simdbits::Kernel;
@@ -138,7 +138,7 @@ impl MultiQuery {
             pending: Vec::new(),
             flush_from: 0,
             max_depth: self.limits.max_depth,
-            deadline: self.limits.deadline.map(|d| std::time::Instant::now() + d),
+            deadline: RecordDeadline::start(&self.limits),
         };
         let stopped = match ev.record() {
             Ok(()) => {
@@ -232,7 +232,7 @@ struct MultiEval<'a, 'p, F> {
     pending: Vec<PendingMatch>,
     flush_from: usize,
     max_depth: usize,
-    deadline: Option<std::time::Instant>,
+    deadline: Option<RecordDeadline>,
 }
 
 impl<'a, F: FnMut(usize, Match<'a>) -> ControlFlow<()>> MultiEval<'a, '_, F> {
@@ -243,11 +243,10 @@ impl<'a, F: FnMut(usize, Match<'a>) -> ControlFlow<()>> MultiEval<'a, '_, F> {
                 pos: self.cur.pos(),
             }));
         }
-        if let Some(dl) = self.deadline {
-            if std::time::Instant::now() >= dl {
-                return Err(Abort::Err(StreamError::DeadlineExpired {
-                    pos: self.cur.pos(),
-                }));
+        if let Some(dl) = &mut self.deadline {
+            let pos = self.cur.pos();
+            if dl.expired_at(pos) {
+                return Err(Abort::Err(StreamError::DeadlineExpired { pos }));
             }
         }
         Ok(())
@@ -583,6 +582,38 @@ mod tests {
             .iter()
             .map(|q| crate::JsonSki::compile(q).unwrap().count(json).unwrap())
             .collect()
+    }
+
+    #[test]
+    fn deadline_fires_inside_one_large_record() {
+        // The clock is read at the root container, then only every 64 KiB
+        // of input: an expiry during the first match surfaces at the first
+        // container entry 64 KiB on, not at the end of the record.
+        let mut record = String::from("[");
+        for i in 0..16_000 {
+            record.push_str(&format!("{{\"a\": {i}, \"pad\": \"xxxxxxxxxxxxxx\"}}, "));
+        }
+        record.push_str("{\"a\": -1}]");
+        let limits = ResourceLimits::default().deadline(std::time::Duration::from_millis(100));
+        let engine = MultiQuery::compile(&["$[*].a", "$[0]"])
+            .unwrap()
+            .with_limits(limits);
+        let mut seen = 0;
+        let err = engine
+            .stream(record.as_bytes(), |_, _| {
+                seen += 1;
+                if seen == 1 {
+                    std::thread::sleep(std::time::Duration::from_millis(150));
+                }
+                ControlFlow::Continue(())
+            })
+            .unwrap_err();
+        match err {
+            StreamError::DeadlineExpired { pos } => {
+                assert!((64 * 1024..128 * 1024).contains(&pos), "expired at {pos}")
+            }
+            other => panic!("expected a deadline, got {other}"),
+        }
     }
 
     #[test]

@@ -64,6 +64,13 @@
 //! skipped-record counts, and — through [`Evaluate::evaluate_metered`] —
 //! the engine's own byte-level and fast-forward counters.
 //!
+//! No thread writes the shared registry per record. The serial loop, each
+//! worker, and the parallel merge record into a tally of their own and
+//! fold it into the registry once per batch (the same 64 KiB / 256-record
+//! cadence as the handoff) and when the run ends, whichever way it ends.
+//! While a run is in flight the registry lags by at most one batch per
+//! thread; once [`Pipeline::run`] returns it is exact.
+//!
 //! # Crash safety
 //!
 //! Three mechanisms make a run survivable end-to-end:
@@ -105,13 +112,20 @@ use crate::evaluate::{
     panic_payload, EngineError, ErrorPolicy, Evaluate, Match, MatchSink, RecordOutcome,
 };
 use crate::limits::{LimitExceeded, ResourceLimits};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Tally};
 use crate::records::RecordSplitter;
 
 /// A batch is handed to the workers once its records hold this many bytes...
 const BATCH_BYTES: usize = 64 * 1024;
 /// ...or once it holds this many records, whichever comes first.
 const BATCH_RECORDS: usize = 256;
+
+/// Whether `records` records of `bytes` bytes in total fill a batch: the
+/// handoff cadence, which is also the cadence at which the serial loop
+/// folds its metrics tally.
+fn fills_batch(records: usize, bytes: usize) -> bool {
+    bytes >= BATCH_BYTES || records >= BATCH_RECORDS
+}
 
 /// Nothing panics while holding the pipeline lock: sink callbacks and
 /// evaluation run outside it.
@@ -388,7 +402,11 @@ impl Pipeline {
         source: &mut dyn RecordSource,
         sink: &mut dyn MatchSink,
     ) -> Result<PipelineSummary, EngineError> {
-        let metrics = self.live_metrics();
+        // One thread owns the whole serial run, so it records into one
+        // tally, folded at the parallel path's batch cadence (and on drop).
+        let tally = self.live_metrics().map(Tally::new);
+        let metrics = tally.as_ref().map(Tally::recorder);
+        let (mut unflushed_records, mut unflushed_bytes) = (0, 0);
         let mut summary = PipelineSummary::default();
         let mut tracker = self.checkpoints.map(CheckpointTracker::new);
         let mut idx = 0u64;
@@ -447,15 +465,22 @@ impl Pipeline {
                 }
             };
             match step {
-                Step::Done => break,
-                Step::SourceErr(e) => match self.try_resync(source, sink, &e, &mut summary)? {
-                    Resynced::Continue => {}
-                    Resynced::Stopped => {
-                        self.final_checkpoint(&tracker, sink, &summary)?;
-                        return Ok(summary);
+                Step::Done => {
+                    // A cancellable source (`ChunkedRecords`) also reports
+                    // its end once the token trips: that end is not clean.
+                    summary.cancelled = self.is_cancelled();
+                    break;
+                }
+                Step::SourceErr(e) => {
+                    match self.try_resync(source, sink, &e, &mut summary, metrics)? {
+                        Resynced::Continue => {}
+                        Resynced::Stopped => {
+                            self.final_checkpoint(&tracker, sink, &summary)?;
+                            return Ok(summary);
+                        }
+                        Resynced::Unrecoverable => return Err(e),
                     }
-                    Resynced::Unrecoverable => return Err(e),
-                },
+                }
                 Step::Evaluated { len, delivered } => {
                     summary.records += 1;
                     if let Some(end) = source.consumed_offset() {
@@ -492,6 +517,14 @@ impl Pipeline {
                     if let Some(t) = tracker.as_mut() {
                         if t.due(len) {
                             self.emit_checkpoint(sink, &summary)?;
+                        }
+                    }
+                    if let Some(t) = &tally {
+                        unflushed_records += 1;
+                        unflushed_bytes += len as usize;
+                        if fills_batch(unflushed_records, unflushed_bytes) {
+                            t.flush();
+                            (unflushed_records, unflushed_bytes) = (0, 0);
                         }
                     }
                 }
@@ -537,10 +570,11 @@ impl Pipeline {
         sink: &mut dyn MatchSink,
         error: &EngineError,
         summary: &mut PipelineSummary,
+        metrics: Option<&Metrics>,
     ) -> Result<Resynced, EngineError> {
         match self.resync_source(source, error)? {
             None => Ok(Resynced::Unrecoverable),
-            Some(span) => match deliver_resync(self.live_metrics(), summary, sink, span, error) {
+            Some(span) => match deliver_resync(metrics, summary, sink, span, error) {
                 ControlFlow::Break(()) => Ok(Resynced::Stopped),
                 ControlFlow::Continue(()) => Ok(Resynced::Continue),
             },
@@ -644,6 +678,7 @@ impl Pipeline {
                         merge.record(sink, len, end, Err(error))?
                     }
                     MergeItem::Resync(span, e) => {
+                        let metrics = merge.tally.as_ref().map(Tally::recorder);
                         deliver_resync(metrics, &mut merge.summary, sink, span, &e)
                     }
                     MergeItem::Fatal(e) => return Err(e),
@@ -689,14 +724,20 @@ impl Pipeline {
                         }
                     }
                     Fetched::End => {
+                        // A cancellable source (`ChunkedRecords`) also
+                        // reports its end once the token trips: that end is
+                        // not clean.
+                        if merge.cancelled() {
+                            return merge.finish(sink);
+                        }
                         handoff.flush(next_merge);
                         source_done = true;
                     }
                     Fetched::Oversized(len) => {
                         // Rejected before dispatch: a pre-failed entry in
                         // the merge sequence, skipping the workers entirely.
-                        if let Some(m) = metrics {
-                            m.record_limit_rejection();
+                        if let Some(t) = &merge.tally {
+                            t.recorder().record_limit_rejection();
                         }
                         let error = EngineError::Limit(LimitExceeded::RecordBytes {
                             len,
@@ -791,6 +832,9 @@ struct Merge<'p> {
     tracker: Option<CheckpointTracker>,
     /// Ordinal of the next record to deliver (resyncs are not records).
     record_idx: u64,
+    /// The caller thread's delivered-side accounting, folded once per
+    /// merged batch (and on drop).
+    tally: Option<Tally<'p>>,
 }
 
 impl<'p> Merge<'p> {
@@ -800,6 +844,7 @@ impl<'p> Merge<'p> {
             summary: PipelineSummary::default(),
             tracker: pipeline.checkpoints.map(CheckpointTracker::new),
             record_idx: 0,
+            tally: pipeline.live_metrics().map(Tally::new),
         }
     }
 
@@ -820,7 +865,7 @@ impl<'p> Merge<'p> {
         end: Option<u64>,
         result: Result<Staged<'_>, EngineError>,
     ) -> Result<ControlFlow<()>, EngineError> {
-        let metrics = self.pipeline.live_metrics();
+        let metrics = self.tally.as_ref().map(Tally::recorder);
         let summary = &mut self.summary;
         summary.records += 1;
         if let Some(end) = end {
@@ -888,6 +933,9 @@ impl<'p> Merge<'p> {
             {
                 return Ok(ControlFlow::Break(()));
             }
+        }
+        if let Some(t) = &self.tally {
+            t.flush();
         }
         Ok(ControlFlow::Continue(()))
     }
@@ -1009,7 +1057,7 @@ impl Batch {
     }
 
     fn is_full(&self) -> bool {
-        self.bytes.len() >= BATCH_BYTES || self.records.len() >= BATCH_RECORDS
+        fills_batch(self.records.len(), self.bytes.len())
     }
 
     /// Empties the batch for reuse, keeping its allocations.
@@ -1141,6 +1189,9 @@ fn worker_loop(
     policy: ErrorPolicy,
     metrics: Option<&Metrics>,
 ) {
+    // The worker's own accounting, folded once per batch (and on drop,
+    // when the run halts it).
+    let tally = metrics.map(Tally::new);
     loop {
         let mut batch = {
             let mut state = shared.state.lock().expect(POISON);
@@ -1157,8 +1208,14 @@ fn worker_loop(
                 state = shared.work_ready.wait(state).expect(POISON);
             }
         };
-        if !evaluate_batch(engine, &mut batch, worker, policy, metrics, &shared.halt) {
+        let recorder = tally.as_ref().map(Tally::recorder);
+        if !evaluate_batch(engine, &mut batch, worker, policy, recorder, &shared.halt) {
             return;
+        }
+        // Folded before the batch can be merged, so delivered work is
+        // never ahead of evaluated work in the registry.
+        if let Some(t) = &tally {
+            t.flush();
         }
         let seq = batch.seq;
         shared
@@ -1999,6 +2056,230 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, EngineError::Stream(_)), "workers={workers}");
             assert_eq!(sink.matches, 700, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn source_end_after_the_token_trips_reports_cancelled() {
+        // `ChunkedRecords` answers a tripped token with a clean-looking end
+        // of stream. A token that trips after the pipeline's own check (here,
+        // inside the read itself) must still end the run as cancelled.
+        struct TripThenRead<'a> {
+            token: crate::CancellationToken,
+            reads_before_trip: usize,
+            inner: crate::ChunkedRecords<&'a [u8]>,
+        }
+        impl RecordSource for TripThenRead<'_> {
+            fn next_record(&mut self) -> Result<Option<&[u8]>, EngineError> {
+                if self.reads_before_trip == 0 {
+                    self.token.cancel();
+                } else {
+                    self.reads_before_trip -= 1;
+                }
+                RecordSource::next_record(&mut self.inner)
+            }
+        }
+        let stream = stream_of(20);
+        let engine = JsonSki::compile("$.a").unwrap();
+        for workers in [1, 2] {
+            for reads_before_trip in [0, 3] {
+                let token = crate::CancellationToken::new();
+                let mut source = TripThenRead {
+                    token: token.clone(),
+                    reads_before_trip,
+                    inner: crate::ChunkedRecords::new(&stream[..]).cancel_token(token.clone()),
+                };
+                let mut sink = CountSink::default();
+                let summary = Pipeline::new()
+                    .workers(workers)
+                    .cancel_token(token)
+                    .run(&engine, &mut source, &mut sink)
+                    .unwrap();
+                let at = format!("workers={workers} trip after {reads_before_trip} reads");
+                assert!(summary.cancelled, "{at}");
+                assert!(summary.records <= reads_before_trip as u64, "{at}");
+            }
+        }
+    }
+
+    /// `$[*].a` over one array record of about 640 KiB whose evaluation
+    /// sleeps past the deadline at its first match; records where the
+    /// deadline fired.
+    struct SleepAtFirstMatch<'a> {
+        engine: &'a JsonSki,
+        nap: std::time::Duration,
+        expired_at: Mutex<Option<usize>>,
+    }
+
+    impl Evaluate for SleepAtFirstMatch<'_> {
+        fn name(&self) -> &'static str {
+            "sleep-at-first-match"
+        }
+
+        fn evaluate(
+            &self,
+            record: &[u8],
+            record_idx: u64,
+            sink: &mut dyn MatchSink,
+        ) -> RecordOutcome {
+            let mut seen = 0;
+            let result = self.engine.stream(record, |m| {
+                seen += 1;
+                if seen == 1 {
+                    std::thread::sleep(self.nap);
+                }
+                sink.on_match(m.with_record_idx(record_idx))
+            });
+            match result {
+                Ok(outcome) => RecordOutcome::Complete {
+                    matches: outcome.matches,
+                },
+                Err(e) => {
+                    if let crate::StreamError::DeadlineExpired { pos } = e {
+                        *self.expired_at.lock().unwrap() = Some(pos);
+                    }
+                    RecordOutcome::Failed(crate::evaluate::classify_stream_error(
+                        e,
+                        &self.engine.config().limits,
+                    ))
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deadline_fires_inside_one_large_record_past_the_first_check_window() {
+        // The clock is read at the root container and then only every
+        // 64 KiB of input: the expiry during the first match is noticed at
+        // the first container entry 64 KiB on, well before the record ends.
+        let mut record = String::from("[");
+        for i in 0..16_000 {
+            record.push_str(&format!("{{\"a\": {i}, \"pad\": \"xxxxxxxxxxxxxx\"}}, "));
+        }
+        record.push_str("{\"a\": -1}]");
+        assert!(record.len() >= 512 * 1024);
+        let limits = ResourceLimits::default().deadline(std::time::Duration::from_millis(100));
+        let engine = JsonSki::compile("$[*].a").unwrap().with_limits(limits);
+        for workers in [1, 2] {
+            let slow = SleepAtFirstMatch {
+                engine: &engine,
+                nap: std::time::Duration::from_millis(150),
+                expired_at: Mutex::new(None),
+            };
+            let err = Pipeline::new()
+                .workers(workers)
+                .limits(limits)
+                .run(
+                    &slow,
+                    &mut SliceRecords::new(record.as_bytes()),
+                    &mut CountSink::default(),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::Limit(LimitExceeded::Deadline { .. })),
+                "workers={workers}: {err}"
+            );
+            let pos = slow.expired_at.lock().unwrap().expect("deadline position");
+            assert!(
+                (64 * 1024..128 * 1024).contains(&pos),
+                "workers={workers}: expired at byte {pos}"
+            );
+        }
+    }
+
+    #[test]
+    fn counters_are_exact_on_every_exit_path() {
+        // Each thread's tally is folded when the run ends, whichever way:
+        // after an error, an early stop and a cancellation the registry
+        // already holds every record the run accounted for.
+        let mut bad = stream_of(10);
+        bad.extend_from_slice(b"{\"a\" 1}\n");
+        bad.extend_from_slice(&stream_of(5));
+        let engine = JsonSki::compile("$.a").unwrap();
+        for workers in [1, 2] {
+            let metrics = Arc::new(Metrics::new());
+            let mut sink = CountSink::default();
+            Pipeline::new()
+                .workers(workers)
+                .metrics(Arc::clone(&metrics))
+                .run(&engine, &mut SliceRecords::new(&bad), &mut sink)
+                .unwrap_err();
+            let s = metrics.snapshot();
+            assert_eq!(s.records_delivered, 10, "workers={workers}");
+            assert_eq!(s.matches_delivered, 10, "workers={workers}");
+            assert!(s.records_failed >= 1, "workers={workers}");
+            assert_eq!(
+                s.worker_records.iter().sum::<u64>(),
+                s.records_evaluated + s.records_failed,
+                "workers={workers}"
+            );
+
+            let metrics = Arc::new(Metrics::new());
+            let mut sink = FnSink::new(|_m: Match<'_>| ControlFlow::Break(()));
+            let summary = Pipeline::new()
+                .workers(workers)
+                .metrics(Arc::clone(&metrics))
+                .run(&engine, &mut SliceRecords::new(&bad), &mut sink)
+                .unwrap();
+            assert!(summary.stopped);
+            let s = metrics.snapshot();
+            assert_eq!(s.records_delivered, 1, "workers={workers}");
+            assert_eq!(s.matches_delivered, 1, "workers={workers}");
+            assert!(s.records_evaluated >= 1, "workers={workers}");
+
+            let token = crate::CancellationToken::new();
+            let trip = token.clone();
+            let metrics = Arc::new(Metrics::new());
+            let mut sink = FnSink::new(move |m: Match<'_>| {
+                if m.record_idx() == 4 {
+                    trip.cancel();
+                }
+                ControlFlow::Continue(())
+            });
+            let clean = stream_of(600);
+            let summary = Pipeline::new()
+                .workers(workers)
+                .metrics(Arc::clone(&metrics))
+                .cancel_token(token)
+                .run(&engine, &mut SliceRecords::new(&clean), &mut sink)
+                .unwrap();
+            assert!(summary.cancelled);
+            let s = metrics.snapshot();
+            assert_eq!(s.records_delivered, summary.records, "workers={workers}");
+            assert_eq!(
+                s.matches_delivered, summary.matches as u64,
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn counters_advance_per_batch_while_a_run_is_in_flight() {
+        // Mid-run, the shared registry lags the work done by less than a
+        // batch per thread; it is never left untouched until the end.
+        let stream = stream_of(1_000);
+        let engine = JsonSki::compile("$.a").unwrap();
+        for workers in [1, 2] {
+            let metrics = Arc::new(Metrics::new());
+            let observer = Arc::clone(&metrics);
+            let mut seen_at_600 = None;
+            let mut sink = FnSink::new(|m: Match<'_>| {
+                if m.record_idx() == 600 {
+                    seen_at_600 = Some(observer.snapshot().records_delivered);
+                }
+                ControlFlow::Continue(())
+            });
+            Pipeline::new()
+                .workers(workers)
+                .metrics(Arc::clone(&metrics))
+                .run(&engine, &mut SliceRecords::new(&stream), &mut sink)
+                .unwrap();
+            let mid = seen_at_600.unwrap();
+            assert!(
+                (600 - BATCH_RECORDS as u64..=600).contains(&mid),
+                "workers={workers}: {mid} records delivered in the registry at record 600"
+            );
+            assert_eq!(metrics.snapshot().records_delivered, 1_000);
         }
     }
 

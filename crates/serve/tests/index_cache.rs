@@ -82,6 +82,21 @@ fn scrape_counter(client: &mut Client, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("counter {name} missing from scrape:\n{scrape}"))
 }
 
+/// One counter of the engine registry, from the JSON scrape.
+fn engine_counter(client: &mut Client, name: &str) -> u64 {
+    let scrape = String::from_utf8(client.metrics(true).unwrap().body).unwrap();
+    let engine = &scrape[scrape.find("\"engine\": ").expect("engine section")..];
+    let key = format!("\"{name}\":");
+    let at = engine
+        .find(&key)
+        .unwrap_or_else(|| panic!("{name} missing:\n{scrape}"));
+    engine[at + key.len()..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|v| v.parse().ok())
+        .unwrap()
+}
+
 /// Queries the stored corpus until a request is answered from the index
 /// (the `index_hit` counter moves), returning that request's body.
 /// Panics if no hit materializes — the cache must converge.
@@ -360,4 +375,69 @@ fn unknown_corpora_answer_404() {
     token.cancel();
     handle.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The scrape's engine counters are exact, not sampled: after `K`
+/// concurrent corpus requests from two clients against two workers (each
+/// request's pipeline folds its per-thread tallies into the shared
+/// registry before it answers), records, bytes and matches evaluated have
+/// grown by exactly `K` times the corpus totals.
+#[test]
+fn concurrent_corpus_requests_are_counted_exactly() {
+    const PER_CLIENT: usize = 6;
+    let dir = scratch("exact");
+    let corpus = ndjson(700);
+    std::fs::write(dir.join("corpora").join("c.ndjson"), &corpus).unwrap();
+    let records = corpus.split(|&b| b == b'\n').filter(|r| !r.is_empty());
+    let (corpus_records, corpus_bytes) =
+        records.fold((0u64, 0u64), |(n, b), r| (n + 1, b + r.len() as u64));
+    let expected_body = serial_reference(QUERY, &corpus);
+    let corpus_matches = expected_body
+        .split(|&b| b == b'\n')
+        .filter(|l| !l.is_empty())
+        .count() as u64;
+
+    let config = ServeConfig {
+        workers: 2,
+        corpus_dir: Some(dir.join("corpora")),
+        index_cache: Some(dir.join("indexes")),
+        metrics_endpoint: true,
+        ..ServeConfig::default()
+    };
+    let server = Server::bind_tcp("127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr().to_string();
+    let token = server.shutdown_token();
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut scraper = Client::connect_tcp(&addr).unwrap();
+    let names = ["records_evaluated", "bytes_evaluated", "matches_emitted"];
+    let before: Vec<u64> = names
+        .iter()
+        .map(|n| engine_counter(&mut scraper, n))
+        .collect();
+    std::thread::scope(|scope| {
+        for c in 0..2 {
+            let (addr, expected_body) = (&addr, &expected_body);
+            scope.spawn(move || {
+                let mut client = Client::connect_tcp(addr).unwrap();
+                for i in 0..PER_CLIENT {
+                    let id = format!("c{c}-{i}");
+                    let resp = client
+                        .query_corpus(&id, "t", QUERY, "c.ndjson", None)
+                        .unwrap();
+                    assert_eq!(resp.code, 200, "{:?}", resp.reason);
+                    assert_eq!(&resp.body, expected_body);
+                }
+            });
+        }
+    });
+    let k = 2 * PER_CLIENT as u64;
+    let totals = [corpus_records, corpus_bytes, corpus_matches];
+    for ((name, before), total) in names.iter().zip(&before).zip(totals) {
+        let after = engine_counter(&mut scraper, name);
+        assert_eq!(after - before, k * total, "{name}");
+    }
+    token.cancel();
+    handle.join().unwrap().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
 }
